@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnglePair, angles_from_cosines
-from .waveform import BeamCodebook, MeasurementTensor, beam_response, phase_ramp
+from .scene import LABEL_LOS, PathRecord
+from .waveform import (
+    BeamCodebook,
+    MeasurementTensor,
+    beam_response,
+    path_beam_factors,
+    phase_ramp,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -396,9 +403,6 @@ def estimate_paths(
         raw.append((aoa, aod, tau, low_conf))
 
     # re-fit gains against the signatures of the extracted parameters
-    from .waveform import path_beam_factors
-    from .scene import PathRecord, LABEL_LOS
-
     columns = []
     for aoa, aod, tau, _ in raw:
         probe = PathRecord(gain=1.0, delay=tau, aoa=aoa, aod=aod, label=LABEL_LOS)

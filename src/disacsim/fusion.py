@@ -41,6 +41,7 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_FLOOR_FRACTION = 1.0e-12
 CONDITION_LIMIT = 1.0e12  # on A^T W A
+_EYE3 = np.eye(3)  # shared, so the per-row position blocks allocate nothing
 
 
 class UnderdeterminedError(RuntimeError):
@@ -246,7 +247,7 @@ def build_joint_system(
                 cp, ct = layout.col_position(n), layout.col_offset(n)
                 a[r : r + 3, cr] = meas.u_bs
                 a[r : r + 3, cd] = meas.u_v
-                a[r : r + 3, cp : cp + 3] = -np.eye(3)
+                a[r : r + 3, cp : cp + 3] = -_EYE3
                 b[r : r + 3] = -p_bs
                 w[r : r + 3] = meas.weight
                 r += 3
@@ -259,7 +260,7 @@ def build_joint_system(
     for n in ue_ids:
         meas = los[n]
         cp, ct, cl = layout.col_position(n), layout.col_offset(n), layout.col_los_range(n)
-        a[r : r + 3, cp : cp + 3] = np.eye(3)
+        a[r : r + 3, cp : cp + 3] = _EYE3
         a[r : r + 3, cl] = -meas.u_los
         b[r : r + 3] = p_bs
         w[r : r + 3] = meas.weight

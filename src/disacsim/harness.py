@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from .estimator import AlsOptions, estimate_paths
-from .fusion import SceneEstimate, UnderdeterminedError, run_fusion
+from .fusion import SceneEstimate, run_fusion
 from .geometry import FoiBounds
 from .pipeline import (
     SingleReceiverResult,
@@ -586,6 +586,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
         except Exception as exc:
             result.skipped_receivers[rx_id] = f"pipeline: {exc}"
             continue
+        failures = []
         for w in weightings:
             try:
                 single[w][rx_id] = localize_single(
@@ -598,8 +599,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
                     weighting=w,
                 )
             except Exception as exc:
-                result.skipped_receivers[rx_id] = f"localization: {exc}"
-                single[w].pop(rx_id, None)
+                failures.append(exc)
+        # a receiver is skipped only when no requested weighting localized it
+        if len(failures) == len(weightings):
+            result.skipped_receivers[rx_id] = f"localization: {failures[-1]}"
     result.runtimes["pipeline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -629,11 +632,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
                 scene.speed_of_light,
                 weighting=mode.weighting,
             )
-        except UnderdeterminedError as exc:
-            result.outcomes[mode.name] = ModeOutcome(
-                mode=mode.name, failure=f"fusion: {exc}"
-            )
-            continue
         except Exception as exc:
             result.outcomes[mode.name] = ModeOutcome(
                 mode=mode.name, failure=f"fusion: {exc}"

@@ -12,7 +12,9 @@ Stages, in order:
    field of interest; the direct path is exempt.
 4. localize_single -- per-receiver weighted least squares turning each
    reflection path into a coarse scatterer position plus a receiver
-   state (position, clock offset).
+   state (position, clock offset). It is the fusion-center system
+   restricted to one receiver, with every reflection path filed as its
+   own singleton target cluster.
 5. dbscan / build_associations -- cluster the coarse points across
    receivers and hand the grouping to the fusion center.
 """
@@ -27,7 +29,8 @@ from .fusion import (
     IllConditionedError,
     LosMeasurement,
     PathMeasurement,
-    solve_wls,
+    build_joint_system,
+    solve_system,
 )
 from .geometry import BORESIGHT_ALONG_X, FoiBounds, as_vec3, direction_from_angles
 
@@ -193,20 +196,18 @@ def localize_single(
 ) -> SingleReceiverResult:
     """Per-receiver WLS: joint receiver state and per-path scatterers.
 
-    Unknowns: one transmitter range r and one receiver range d per
-    reflection path, then the receiver position (3), clock offset and
-    LoS range, mirroring the fusion-center blocks (the clock column is
-    kept as c * dt in meters for scaling). Each reflection path
-    contributes its four rows, the direct path its four. Requires at
-    least one reflection path; with none the clock offset and position
-    cannot both be pinned.
+    This is the fusion-center system of one receiver in which every
+    reflection path is its own target cluster: each path brings a
+    transmitter range r and a receiver range d, the receiver brings its
+    position, clock offset and LoS range, and the rows are those of
+    :func:`fusion.build_joint_system`. Requires at least one reflection
+    path; with none the clock offset and position cannot both be pinned.
 
     Scatterer points are re-projected as p_bs + r * u_bs. Paths whose
     estimated transmitter range comes out negative are dropped from the
     point list (kept in the report with a reason).
     """
     p_bs = as_vec3(p_bs)
-    c = speed_of_light
     rot = np.asarray(rx_orientation, dtype=float)
     if not (0 <= los_index < len(paths)):
         raise LocalizationError(f"direct-path index {los_index} out of range")
@@ -216,88 +217,50 @@ def localize_single(
             "no reflection paths: receiver state is not identifiable from the direct path alone"
         )
 
-    num_p = len(refl)
-    cols = 2 * num_p + 5  # r_i, d_i, pos(3), dt, r_los
-    col_pos = 2 * num_p
-    col_dt = col_pos + 3
-    col_rlos = col_dt + 1
-    rows = 4 * num_p + 4
-    a = np.zeros((rows, cols))
-    b = np.zeros(rows)
-    w = np.zeros(rows)
-
     measurements = []
-    r = 0
-    for j, i in enumerate(refl):
-        p = paths[i]
-        u_bs, u_v = path_directions(p, rot)
-        weight = abs(p.gain)
+    for i in refl:
+        u_bs, u_v = path_directions(paths[i], rot)
         measurements.append(
             PathMeasurement(
                 ue_id=ue_id, path_index=i, u_bs=u_bs, u_v=u_v,
-                delay=p.delay, weight=weight,
+                delay=paths[i].delay, weight=abs(paths[i].gain),
             )
         )
-        a[r : r + 3, 2 * j] = u_bs
-        a[r : r + 3, 2 * j + 1] = u_v
-        a[r : r + 3, col_pos : col_pos + 3] = -np.eye(3)
-        b[r : r + 3] = -p_bs
-        w[r : r + 3] = weight
-        r += 3
-        a[r, 2 * j] = 1.0
-        a[r, 2 * j + 1] = 1.0
-        a[r, col_dt] = 1.0  # clock column in meters (c * dt)
-        b[r] = c * p.delay
-        w[r] = weight
-        r += 1
-
     los_path = paths[los_index]
-    u_los = BORESIGHT_ALONG_X @ direction_from_angles(los_path.aod)
+    u_los, _ = path_directions(los_path, rot)  # transmitter -> receiver
     los_meas = LosMeasurement(
         ue_id=ue_id, u_los=u_los, delay=los_path.delay, weight=abs(los_path.gain)
     )
-    a[r : r + 3, col_pos : col_pos + 3] = np.eye(3)
-    a[r : r + 3, col_rlos] = -u_los
-    b[r : r + 3] = p_bs
-    w[r : r + 3] = los_meas.weight
-    r += 3
-    a[r, col_rlos] = 1.0
-    a[r, col_dt] = 1.0
-    b[r] = c * los_path.delay
-    w[r] = los_meas.weight
-    r += 1
-    assert r == rows
 
-    if weighting == "ls":
-        w = np.ones_like(w)
-    elif weighting != "wls":
-        raise ValueError(f"unknown weighting {weighting!r}")
+    clusters = {m.path_index: {ue_id: [m]} for m in measurements}
+    system = build_joint_system(clusters, {ue_id: los_meas}, p_bs, speed_of_light)
     try:
-        x, residual = solve_wls(a, b, w)
+        x, residual = solve_system(system, weighting)
     except IllConditionedError as exc:
         raise LocalizationError(f"receiver {ue_id}: {exc}") from exc
 
+    layout = system.layout
     points = []
     dropped: dict[int, str] = {}
-    for j, i in enumerate(refl):
-        r_hat = float(x[2 * j])
+    for m in measurements:
+        r_hat = float(x[layout.col_range(m.path_index)])
         if r_hat < 0.0:
-            dropped[i] = f"negative transmitter range {r_hat:.3f} m"
+            dropped[m.path_index] = f"negative transmitter range {r_hat:.3f} m"
             continue
-        u_bs = measurements[j].u_bs
         points.append(
             LocalizedPoint(
-                position=p_bs + r_hat * u_bs,
+                position=p_bs + r_hat * m.u_bs,
                 ue_id=ue_id,
-                path_index=i,
-                weight=measurements[j].weight,
+                path_index=m.path_index,
+                weight=m.weight,
             )
         )
+    col_pos = layout.col_position(ue_id)
     return SingleReceiverResult(
         ue_id=ue_id,
         ue_position=x[col_pos : col_pos + 3].copy(),
-        timing_offset=float(x[col_dt]) / c,
-        los_range=float(x[col_rlos]),
+        timing_offset=float(x[layout.col_offset(ue_id)]) / speed_of_light,
+        los_range=float(x[layout.col_los_range(ue_id)]),
         points=points,
         measurements=measurements,
         los=los_meas,

@@ -540,7 +540,7 @@ def scene_to_dict(scene: Scene) -> dict:
         "phase_seed": scene.phase_seed,
         "tx": {
             "position": scene.tx.position.tolist(),
-            "array": _geom_to_dict(scene.tx.array),
+            "array": geom_to_dict(scene.tx.array),
         },
         "receivers": [
             {
@@ -548,7 +548,7 @@ def scene_to_dict(scene: Scene) -> dict:
                 "position": rx.position.tolist(),
                 "orientation": rx.orientation.tolist(),
                 "timing_offset": rx.timing_offset,
-                "array": _geom_to_dict(rx.array),
+                "array": geom_to_dict(rx.array),
             }
             for rx in scene.receivers
         ],
@@ -570,7 +570,7 @@ def scene_to_dict(scene: Scene) -> dict:
 def scene_from_dict(doc: dict) -> Scene:
     return Scene(
         tx=TransmitterNode(
-            position=doc["tx"]["position"], array=_geom_from_dict(doc["tx"]["array"])
+            position=doc["tx"]["position"], array=geom_from_dict(doc["tx"]["array"])
         ),
         receivers=[
             ReceiverNode(
@@ -578,7 +578,7 @@ def scene_from_dict(doc: dict) -> Scene:
                 position=r["position"],
                 orientation=np.array(r["orientation"]),
                 timing_offset=r["timing_offset"],
-                array=_geom_from_dict(r["array"]),
+                array=geom_from_dict(r["array"]),
             )
             for r in doc["receivers"]
         ],
@@ -599,9 +599,9 @@ def scene_from_dict(doc: dict) -> Scene:
     )
 
 
-def _geom_to_dict(g: UpaGeometry) -> dict:
+def geom_to_dict(g: UpaGeometry) -> dict:
     return {"n_x": g.n_x, "n_y": g.n_y, "spacing": g.spacing, "wavelength": g.wavelength}
 
 
-def _geom_from_dict(d: dict) -> UpaGeometry:
+def geom_from_dict(d: dict) -> UpaGeometry:
     return UpaGeometry(n_x=d["n_x"], n_y=d["n_y"], spacing=d["spacing"], wavelength=d["wavelength"])

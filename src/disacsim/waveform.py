@@ -23,7 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnglePair
-from .scene import PathRecord, Scene, UpaGeometry, axis_responses, generate_ground_truth_paths
+from .scene import (
+    SPEED_OF_LIGHT,
+    PathRecord,
+    Scene,
+    UpaGeometry,
+    axis_responses,
+    generate_ground_truth_paths,
+    geom_from_dict,
+    geom_to_dict,
+    steering_vector,
+)
 
 # ---------------------------------------------------------------------------
 # OFDM configuration
@@ -61,8 +71,6 @@ class OfdmConfig:
 
     @property
     def wavelength(self) -> float:
-        from .scene import SPEED_OF_LIGHT
-
         return SPEED_OF_LIGHT / self.carrier_freq
 
     @property
@@ -216,8 +224,6 @@ def channel_matrix(
     a_R, a_T the full Kronecker responses. Shape (rx elements, tx
     elements).
     """
-    from .scene import steering_vector
-
     h = np.zeros((rx_geom.num_elements, tx_geom.num_elements), dtype=complex)
     for p in paths:
         a_r = steering_vector(p.aoa, rx_geom)
@@ -265,7 +271,9 @@ class MeasurementTensor:
             raise ValueError(
                 f"tensor shape {self.data.shape} does not match codebooks/subcarriers {expected}"
             )
-        if self.noise_var < 0.0:
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("tensor data contains NaN or inf")
+        if not self.noise_var >= 0.0:
             raise ValueError("noise variance must be nonnegative")
 
 
@@ -398,8 +406,8 @@ def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
             "tx_power_dbm": tensor.ofdm.tx_power_dbm,
             "noise_variance_dbm": tensor.ofdm.noise_variance_dbm,
         },
-        "rx_geom": _geom_dict(books.rx_geom),
-        "tx_geom": _geom_dict(books.tx_geom),
+        "rx_geom": geom_to_dict(books.rx_geom),
+        "tx_geom": geom_to_dict(books.tx_geom),
         "codebooks": {
             label: {
                 "axis_size": cb.num_elements,
@@ -441,16 +449,18 @@ def load_tensor(prefix: str) -> MeasurementTensor:
         tx_power_dbm=o["tx_power_dbm"],
         noise_variance_dbm=o["noise_variance_dbm"],
     )
-    rx_geom = _geom_from(header["rx_geom"])
-    tx_geom = _geom_from(header["tx_geom"])
+    rx_geom = geom_from_dict(header["rx_geom"])
+    tx_geom = geom_from_dict(header["tx_geom"])
     cbs = {}
     for label in AXIS_LABELS:
         spec = header["codebooks"][label]
-        size = spec["axis_size"]
-        idx = spec["beam_indices"]
-        n = np.arange(size)[:, None]
-        cols = np.exp(-2j * np.pi * n * np.asarray(idx)[None, :] / size)
-        cbs[label] = BeamCodebook(matrix=cols, axis=label, beam_indices=tuple(idx))
+        idx = tuple(spec["beam_indices"])
+        cb = dft_codebook(spec["axis_size"], len(idx), label, first_beam=idx[0] if idx else None)
+        if cb.beam_indices != idx:
+            raise ValueError(
+                f"{label} beam indices {list(idx)} are not a contiguous DFT sector"
+            )
+        cbs[label] = cb
     books = CodebookSet(
         rx_el=cbs["rx_el"],
         rx_az=cbs["rx_az"],
@@ -463,10 +473,3 @@ def load_tensor(prefix: str) -> MeasurementTensor:
         data=data, codebooks=books, ofdm=ofdm, noise_var=header["noise_var"]
     )
 
-
-def _geom_dict(g: UpaGeometry) -> dict:
-    return {"n_x": g.n_x, "n_y": g.n_y, "spacing": g.spacing, "wavelength": g.wavelength}
-
-
-def _geom_from(d: dict) -> UpaGeometry:
-    return UpaGeometry(n_x=d["n_x"], n_y=d["n_y"], spacing=d["spacing"], wavelength=d["wavelength"])

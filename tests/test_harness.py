@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from disacsim import harness
 from disacsim.fusion import SceneEstimate
 from disacsim.geometry import BORESIGHT_ALONG_X
 from disacsim.harness import (
@@ -301,6 +302,28 @@ def test_run_trial_noiseless_is_nearly_exact():
     assert oc.to_errors and all(e < 1e-11 for e in oc.to_errors.values())
     assert all(oc.target_detected.values())
     assert all(e < 1e-3 for e in oc.target_errors.values())
+
+
+def test_run_trial_skips_a_receiver_only_when_every_weighting_fails(monkeypatch):
+    real = harness.localize_single
+    failing = {"ls"}
+
+    def flaky(*args, **kwargs):
+        if kwargs["ue_id"] == 0 and kwargs["weighting"] in failing:
+            raise RuntimeError("forced failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "localize_single", flaky)
+    cfg = mini_config()
+    modes = [parse_mode("disac"), parse_mode("disac-ls")]
+    result = run_trial(cfg, 0, modes)
+    assert 0 not in result.skipped_receivers
+    assert 0 in result.outcomes["disac"].ue_errors
+    assert 0 not in (result.outcomes["disac-ls"].ue_errors or {})
+
+    failing.add("wls")
+    result = run_trial(cfg, 0, modes)
+    assert result.skipped_receivers[0] == "localization: forced failure"
 
 
 def test_run_montecarlo_validates_isac_id():

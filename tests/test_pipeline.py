@@ -207,6 +207,22 @@ def test_localize_single_bad_los_index():
         )
 
 
+def test_localize_single_ill_conditioned_names_receiver():
+    scene = _two_target_scene()
+    rot = scene.receivers[0].orientation
+    paths = exact_paths(scene, 0)
+    # arrival angles that make u_v equal u_bs: the r and d columns of the
+    # path coincide, so its two ranges cannot be told apart
+    u_bs, _ = path_directions(paths[1], rot)
+    aoa = angles_from_direction(-(rot.T @ u_bs))
+    paths[1] = EstimatedPath(
+        gain=paths[1].gain, delay=paths[1].delay, aoa=aoa, aod=paths[1].aod
+    )
+    np.testing.assert_allclose(path_directions(paths[1], rot)[1], u_bs, atol=1e-12)
+    with pytest.raises(LocalizationError, match=r"^receiver 7: .*condition"):
+        localize_single(paths, 0, 7, rot, scene.tx.position, SPEED_OF_LIGHT)
+
+
 def test_localize_single_ls_equals_equal_weights():
     scene = _two_target_scene()
     paths = exact_paths(scene, 0)

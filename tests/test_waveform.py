@@ -264,6 +264,17 @@ def test_measurement_tensor_shape_validation():
         MeasurementTensor(
             data=np.zeros((4, 4, 2, 2, 7), dtype=complex), codebooks=books, ofdm=ofdm
         )
+    shape = books.beam_shape + (8,)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        data = np.zeros(shape, dtype=complex)
+        data[1, 2, 0, 1, 3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            MeasurementTensor(data=data, codebooks=books, ofdm=ofdm)
+    with pytest.raises(ValueError, match="noise variance"):
+        MeasurementTensor(
+            data=np.zeros(shape, dtype=complex), codebooks=books, ofdm=ofdm,
+            noise_var=float("nan"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +405,10 @@ def test_export_load_round_trip(tmp_path):
     assert back.ofdm == tensor.ofdm
     np.testing.assert_array_equal(back.codebooks.rx_el.matrix, books.rx_el.matrix)
     assert back.codebooks.tx_az.beam_indices == books.tx_az.beam_indices
+
+    # a non-contiguous beam list is not a DFT sector the writer could emit
+    header["codebooks"]["rx_az"]["beam_indices"] = [0, 2]
+    with open(json_path, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="rx_az beam indices"):
+        load_tensor(prefix)
