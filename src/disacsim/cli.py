@@ -14,14 +14,14 @@ import logging
 import os
 import sys
 
-from .estimator import AlsOptions, EstimatedPath, estimate_paths
+from .estimator import DEFAULT_MAX_RANK, AlsOptions, EstimatedPath, estimate_paths
 from .harness import (
-    _SEED_STRIDE,
     ConfigError,
     ScenarioConfig,
     default_scenario,
     load_config,
     parse_mode,
+    receiver_seed,
     run_montecarlo,
     run_trial,
     write_csv,
@@ -35,16 +35,12 @@ logger = logging.getLogger(__name__)
 
 
 def _scenario(args) -> ScenarioConfig:
-    config = load_config(args.config) if args.config else default_scenario()
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        config.trials = args.trials
-    if getattr(args, "mode", None):
-        config.modes = tuple(args.mode)
-    for m in config.modes:
-        parse_mode(m)
-    return config
+    """--config with --seed, --trials and --mode laid over its top-level keys."""
+    flags = {"seed": args.seed, "trials": getattr(args, "trials", None), "modes": args.mode}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    if args.config:
+        return load_config(args.config, **overrides)
+    return default_scenario(**overrides)
 
 
 def _path_to_dict(p: EstimatedPath) -> dict:
@@ -74,7 +70,7 @@ def cmd_simulate(args) -> int:
             rx.node_id,
             books,
             config.ofdm,
-            noise_seed=config.seed * _SEED_STRIDE + rx.node_id,
+            noise_seed=receiver_seed(config.seed, rx.node_id),
             effective_snr_db=config.effective_snr_db,
         )
         prefix = os.path.join(args.out_dir, f"tensor_rx{rx.node_id}")
@@ -89,8 +85,10 @@ def cmd_estimate(args) -> int:
         tensor = load_tensor(args.tensor)
     except OSError as exc:
         raise ConfigError(f"cannot read tensor {args.tensor}: {exc}") from exc
-    opts = AlsOptions(seed=args.seed if args.seed is not None else 0,
-                      restarts=args.restarts)
+    try:
+        opts = AlsOptions(seed=args.seed, restarts=args.restarts)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     paths = estimate_paths(tensor, rank=args.rank, opts=opts, max_rank=args.max_rank)
     doc = {"num_paths": len(paths), "paths": [_path_to_dict(p) for p in paths]}
     text = json.dumps(doc, sort_keys=True, indent=2)
@@ -154,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate paths from an exported tensor")
     p.add_argument("--tensor", required=True, help="tensor file prefix (no extension)")
     p.add_argument("--rank", default="auto", help="model order, or 'auto'")
-    p.add_argument("--max-rank", type=int, default=12)
+    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON here instead of stdout")

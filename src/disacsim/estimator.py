@@ -37,6 +37,12 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # correlation threshold below which an extracted parameter is distrusted
 LOW_CONFIDENCE_CORR = 0.5
 
+DEFAULT_MAX_RANK = 12  # cap on the automatically selected model order
+COND_LIMIT = 1.0e12  # ALS Gram matrices worse conditioned than this are rank deficient
+NOISE_MARGIN = 1.4  # see select_model_order
+REL_FLOOR = 1.0e-8
+ANGLE_GRID_POINTS = 2048  # coarse ramp scan of extract_angle
+
 
 class RankDeficiencyError(RuntimeError):
     """A least-squares subproblem inside ALS lost rank."""
@@ -52,7 +58,10 @@ class AlsOptions:
     rel_tol: float = 1.0e-8
     restarts: int = 5
     seed: int = 0
-    cond_limit: float = 1.0e12
+
+    def __post_init__(self):
+        if self.max_sweeps < 1 or self.restarts < 1:
+            raise ValueError("max_sweeps and restarts must be at least 1")
 
 
 @dataclass
@@ -147,9 +156,12 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
         )
 
     unfoldings = [_unfold(data, n) for n in range(order)]
+    # the residual's contraction order depends only on the shapes: plan it once
+    shapes = [np.empty((n, rank), dtype=complex) for n in data.shape]
+    model_path = np.einsum_path("al,bl,cl,dl,el->abcde", *shapes, optimize=True)[0]
 
     best: CpFactors | None = None
-    for restart in range(max(1, opts.restarts)):
+    for restart in range(opts.restarts):
         rng = np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
         factors = [
             (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
@@ -162,14 +174,15 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
         prev = np.inf
         for sweep in range(opts.max_sweeps):
             for mode in range(order):
-                kr = _khatri_rao([factors[m] for m in range(order) if m != mode])
-                v = unfoldings[mode] @ kr.conj()
+                # conj(a * b) == conj(a) * conj(b) bit for bit: conjugate the small factors
+                kr = _khatri_rao([factors[m].conj() for m in range(order) if m != mode])
+                v = unfoldings[mode] @ kr
                 g = np.ones((rank, rank), dtype=complex)
                 for m in range(order):
                     if m != mode:
                         g *= grams[m]
                 g_cond = np.linalg.cond(g)
-                if not np.isfinite(g_cond) or g_cond > opts.cond_limit:
+                if not np.isfinite(g_cond) or g_cond > COND_LIMIT:
                     raise RankDeficiencyError(
                         f"mode-{mode} least-squares system is rank deficient "
                         f"(condition {g_cond:.2e}); the tensor likely has rank < {rank}"
@@ -185,9 +198,7 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
 
             # direct residual: immune to the cancellation that plagues the
             # norm-identity shortcut near exact fits
-            model = np.einsum(
-                "al,bl,cl,dl,el->abcde", *factors, optimize=True
-            )
+            model = np.einsum("al,bl,cl,dl,el->abcde", *factors, optimize=model_path)
             res = float(np.linalg.norm(data - model))
             history.append(res)
             if res > prev * (1.0 + 1.0e-9) + 1.0e-12 * norm_t:
@@ -233,21 +244,16 @@ def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) 
 # ---------------------------------------------------------------------------
 
 
-def select_model_order(
-    tensor: MeasurementTensor,
-    max_rank: int = 12,
-    noise_margin: float = 1.4,
-    rel_floor: float = 1.0e-8,
-) -> int:
+def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RANK) -> int:
     """Number of rank-1 components distinguishable from the noise floor.
 
     For every mode unfolding (an m x n matrix) the noise singular values
     concentrate below sqrt(var_entry) * (sqrt(m) + sqrt(n)), where
     var_entry is the per-entry beamspace noise variance implied by the
     stored element noise power and the codebook column norms. Singular
-    values above ``noise_margin`` times that edge (plus a relative floor
-    for the noiseless case) count as signal; the answer is the largest
-    count over modes, capped at max_rank.
+    values above NOISE_MARGIN times that edge (and above REL_FLOOR times
+    the largest, for the noiseless case) count as signal; the answer is
+    the largest count over modes, capped at max_rank.
     """
     data = tensor.data
     g_el = np.real(np.diag(tensor.codebooks.rx_el.gram()))
@@ -259,7 +265,7 @@ def select_model_order(
         m, n = unf.shape
         sv = np.linalg.svd(unf, compute_uv=False)
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
-        thr = max(noise_margin * edge, rel_floor * (sv[0] if sv.size else 0.0))
+        thr = max(NOISE_MARGIN * edge, REL_FLOOR * (sv[0] if sv.size else 0.0))
         count = int(np.sum(sv > thr))
         best = max(best, count)
     return min(best, max_rank)
@@ -270,9 +276,7 @@ def select_model_order(
 # ---------------------------------------------------------------------------
 
 
-def extract_angle(
-    factor_column: np.ndarray, codebook: BeamCodebook, grid_points: int = 2048
-) -> tuple[float, float]:
+def extract_angle(factor_column: np.ndarray, codebook: BeamCodebook) -> tuple[float, float]:
     """Spatial frequency (radians per element) best explaining a factor column.
 
     Scans a dense grid of ramps exp(j*omega*n), scores the normalized
@@ -291,7 +295,7 @@ def extract_angle(
         raise ValueError("zero factor column")
 
     n_el = codebook.num_elements
-    grid = np.linspace(-np.pi, np.pi, grid_points, endpoint=False)
+    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
 
     def corr(omegas):
         sig = beam_response(codebook, phase_ramp(omegas, n_el))
@@ -361,7 +365,7 @@ def estimate_paths(
     tensor: MeasurementTensor,
     rank: int | str = "auto",
     opts: AlsOptions | None = None,
-    max_rank: int = 12,
+    max_rank: int = DEFAULT_MAX_RANK,
 ) -> list[EstimatedPath]:
     """Full per-receiver estimation chain: CPD then parameter extraction.
 

@@ -107,6 +107,7 @@ class UnknownLayout:
     pair_cols: dict[tuple[int, int], int]  # (target_id, ue_id) -> column
     ue_ids: list[int]
     num_unknowns: int = 0
+    labels: list[str] = field(default_factory=list)  # column -> the unknown it holds
     _r_cols: dict[int, int] = field(default_factory=dict)
     _dt_cols: dict[int, int] = field(default_factory=dict)
     _pos_cols: dict[int, int] = field(default_factory=dict)
@@ -117,25 +118,25 @@ class UnknownLayout:
         target_ids = sorted(target_ids)
         ue_ids = sorted(ue_ids)
         layout = cls(target_ids=target_ids, pair_cols={}, ue_ids=ue_ids)
-        col = 0
+        labels = layout.labels
         for m in target_ids:
-            layout._r_cols[m] = col
-            col += 1
+            layout._r_cols[m] = len(labels)
+            labels.append(f"r[target {m}]")
         for m in target_ids:
             for n in ue_ids:
                 if (m, n) in observed_pairs:
-                    layout.pair_cols[(m, n)] = col
-                    col += 1
+                    layout.pair_cols[(m, n)] = len(labels)
+                    labels.append(f"d[target {m}, receiver {n}]")
         for n in ue_ids:
-            layout._dt_cols[n] = col
-            col += 1
+            layout._dt_cols[n] = len(labels)
+            labels.append(f"c*dt[receiver {n}]")
         for n in ue_ids:
-            layout._pos_cols[n] = col
-            col += 3
+            layout._pos_cols[n] = len(labels)
+            labels.extend(f"p_{axis}[receiver {n}]" for axis in "xyz")
         for n in ue_ids:
-            layout._rlos_cols[n] = col
-            col += 1
-        layout.num_unknowns = col
+            layout._rlos_cols[n] = len(labels)
+            labels.append(f"r_los[receiver {n}]")
+        layout.num_unknowns = len(labels)
         return layout
 
     def col_range(self, m: int) -> int:
@@ -332,7 +333,11 @@ def solve_system(system: LinearSystem, weighting: str = "wls") -> tuple[np.ndarr
         w = np.ones_like(system.weights)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    return solve_wls(system.matrix, system.rhs, w)
+    try:
+        return solve_wls(system.matrix, system.rhs, w)
+    except IllConditionedError as exc:
+        col = exc.dependent_column
+        raise IllConditionedError(f"{exc} ({system.layout.labels[col]})", col) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .estimator import AlsOptions, estimate_paths
+from .estimator import DEFAULT_MAX_RANK, AlsOptions, estimate_paths
 from .fusion import SceneEstimate, run_fusion
-from .geometry import FoiBounds
+from .geometry import FoiBounds, as_vec3
 from .pipeline import (
+    DEFAULT_EPS_M,
+    DEFAULT_MIN_POINTS,
     SingleReceiverResult,
     build_associations,
     clutter_filter,
@@ -38,16 +40,26 @@ from .pipeline import (
     localize_single,
     unwrap_delays,
 )
-from .scene import Scene, SceneConfig, UpaGeometry, random_scene, scene_to_dict
-from .waveform import CodebookSet, OfdmConfig, dft_codebook, synthesize_tensor
+from .scene import (
+    DEFAULT_FOI,
+    Scene,
+    SceneConfig,
+    UpaGeometry,
+    check_box,
+    random_scene,
+    scene_to_dict,
+)
+from .waveform import AXIS_LABELS, CodebookSet, OfdmConfig, dft_codebook, synthesize_tensor
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_ID = "disacsim-config/1"
 
-# distinct deterministic streams per (trial, receiver); 1009 is just a
-# prime comfortably above any realistic receiver count
-_SEED_STRIDE = 1009
+
+def receiver_seed(trial_seed: int, rx_id: int) -> int:
+    """Seed of one receiver's noise and ALS restarts within a trial."""
+    # distinct per (trial, receiver): 1009 is a prime above any realistic receiver count
+    return trial_seed * 1009 + rx_id
 
 
 class ConfigError(ValueError):
@@ -99,23 +111,139 @@ def _require_mapping(raw, where: str) -> dict:
     return raw
 
 
-def _check_keys(raw: dict, allowed: set[str], where: str):
-    unknown = sorted(set(raw) - allowed)
+def _integer(minimum: float = -math.inf):
+    """Converter for an integer setting of at least ``minimum``."""
+
+    def convert(value) -> int:
+        if not isinstance(value, int) or value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _modes(value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(m, str) for m in value):
+        raise ValueError("must be a list of strings")
+    for m in value:
+        parse_mode(m)
+    return tuple(value)
+
+
+def _snr_db(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _radians(degrees) -> float:
+    return float(np.deg2rad(degrees))
+
+
+def _float_pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+# One table per section: YAML key -> converter, or (argument name, converter)
+# when the argument is named differently. A table as converter is a
+# subsection; with argument name None its arguments join the parent's. A
+# pair (converter, table) takes a bare value or a subsection.
+_BEAM = (_integer(1), {"num": ("num_beams", _integer(1)), "first": ("first_beam", _integer())})
+_BEAMS_KEYS = {"bs_az": ("tx_az", _BEAM), "bs_el": ("tx_el", _BEAM),
+               "ue_az": ("rx_az", _BEAM), "ue_el": ("rx_el", _BEAM)}
+_ARRAY_KEYS = {"n_x": _integer(1), "n_y": _integer(1)}
+_CONFIG_KEYS = {
+    "seed": _integer(0),
+    "trials": _integer(1),
+    "modes": _modes,
+    "ofdm": {
+        "carrier_freq_hz": ("carrier_freq", float),
+        "bandwidth_hz": ("bandwidth", float),
+        "num_subcarriers": _integer(1),
+        "subcarrier_spacing_hz": ("subcarrier_spacing", float),
+        "tx_power_dbm": float,
+        "noise_variance_dbm": float,
+    },
+    "arrays": {
+        "bs": ("bs_geom", _ARRAY_KEYS),
+        "ue": ("ue_geom", _ARRAY_KEYS),
+        "spacing_wavelengths": ("spacing", float),
+    },
+    "beams": _BEAMS_KEYS,
+    "scene": {
+        "tx_position": as_vec3,
+        "num_receivers": _integer(1),
+        "num_targets": _integer(0),
+        "scatter_points_per_target": _integer(1),
+        "num_clutter": _integer(0),
+        "ue_box": check_box,
+        "target_box": check_box,
+        "clutter_box": check_box,
+        "target_extent_m": float,
+        "min_separation_m": float,
+        "target_min_separation_m": float,
+        "clutter_in_foi_fraction": float,
+        "timing_offset_range_ns": ("to_range_s", lambda ns: float(ns) * 1.0e-9),
+        "foi_az_deg": ("foi_az", _radians),
+        "foi_el_deg": ("foi_el", _radians),
+        "foi_margin_deg": ("foi_margin", _radians),
+        "target_reflectivity_range": _float_pair,
+        "clutter_reflectivity_range": _float_pair,
+        "max_attempts": _integer(1),
+    },
+    "estimation": (None, {
+        "effective_snr_db": _snr_db,
+        "max_rank": _integer(1),
+        "restarts": _integer(1),
+        "max_sweeps": _integer(1),
+        "rel_tol": float,
+    }),
+    "clustering": (None, {"eps_m": float, "min_points": _integer(1)}),
+    "metrics": (None, {"detection_radius_m": float}),
+}
+
+
+# the stock arrays, which no dataclass owns: 16x16 at the BS and 8x8 at
+# each UE, at half-wavelength spacing
+_STOCK_ARRAYS = {"bs_geom": dict(n_x=16, n_y=16), "ue_geom": dict(n_x=8, n_y=8)}
+_STOCK_SPACING_WAVELENGTHS = 0.5
+
+
+def _resolve(raw, table: dict, where: str = "") -> dict:
+    """Convert the keys a config mapping sets into constructor arguments.
+
+    Omitted keys are left out, and so are null ones (except
+    effective_snr_db, where null switches SNR calibration off), so every
+    default stays in the dataclass that owns it.
+    """
+    raw = _require_mapping(raw, where or "config")
+    unknown = sorted(str(key) for key in raw if key not in table)
     if unknown:
-        raise ConfigError(f"unknown key(s) under {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) under {where or 'config'}: {', '.join(unknown)}")
+    out = {}
+    for key, value in raw.items():
+        entry = table[key]
+        name, conv = entry if isinstance(entry, tuple) and not callable(entry[0]) else (key, entry)
+        path = f"{where}.{key}" if where else key
+        if isinstance(conv, tuple):
+            conv = conv[1] if isinstance(value, dict) else conv[0]
+        if value is None and conv is not _snr_db:
+            continue
+        if isinstance(conv, dict):
+            sub = _resolve(value, conv, path)
+            out.update(sub if name is None else {name: sub})
+            continue
+        try:
+            out[name] = conv(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return out
 
 
-def _beam_spec(raw, default_num: int, default_first: int | None, where: str):
-    """A beam axis is either a bare count or {num, first}."""
-    if raw is None:
-        return default_num, default_first
-    if isinstance(raw, int):
-        return raw, default_first
-    raw = _require_mapping(raw, where)
-    _check_keys(raw, {"num", "first"}, where)
-    return int(raw.get("num", default_num)), (
-        None if raw.get("first") is None else int(raw["first"])
-    )
+def _construct(where: str, cls, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -128,31 +256,27 @@ class ScenarioConfig:
     ue_geom: UpaGeometry
     beams: dict[str, tuple[int, int | None]]  # axis -> (count, first beam)
     effective_snr_db: float | None = 20.0
-    max_rank: int = 12
+    max_rank: int = DEFAULT_MAX_RANK
     restarts: int = 3
     max_sweeps: int = 300
     rel_tol: float = 1.0e-8
-    eps_m: float = 2.0
-    min_points: int = 2
+    eps_m: float = DEFAULT_EPS_M
+    min_points: int = DEFAULT_MIN_POINTS
     detection_radius_m: float = 5.0
     seed: int = 0
     trials: int = 50
     modes: tuple[str, ...] = ("disac",)
     raw: dict = field(default_factory=dict)
 
-    def codebooks(self) -> CodebookSet:
-        def book(axis, size):
-            num, first = self.beams[axis]
-            return dft_codebook(size, num, axis, first_beam=first)
+    def codebook(self, axis: str):
+        geom = self.ue_geom if axis.startswith("rx") else self.bs_geom
+        size = geom.n_x if axis.endswith("az") else geom.n_y
+        num, first = self.beams[axis]
+        return dft_codebook(size, num, axis, first_beam=first)
 
-        return CodebookSet(
-            rx_el=book("rx_el", self.ue_geom.n_y),
-            rx_az=book("rx_az", self.ue_geom.n_x),
-            tx_el=book("tx_el", self.bs_geom.n_y),
-            tx_az=book("tx_az", self.bs_geom.n_x),
-            rx_geom=self.ue_geom,
-            tx_geom=self.bs_geom,
-        )
+    def codebooks(self) -> CodebookSet:
+        books = {axis: self.codebook(axis) for axis in AXIS_LABELS}
+        return CodebookSet(**books, rx_geom=self.ue_geom, tx_geom=self.bs_geom)
 
     def als_options(self, seed: int) -> AlsOptions:
         return AlsOptions(
@@ -164,173 +288,71 @@ class ScenarioConfig:
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    """Validate a config mapping and resolve it into a ScenarioConfig."""
-    raw = _require_mapping(raw, "config")
-    schema = raw.get("schema")
+    """Validate a config mapping and resolve it into a ScenarioConfig.
+
+    Every malformed setting raises a ConfigError naming its section.key,
+    or its section when only the values together are inconsistent.
+    """
+    settings = dict(_require_mapping(raw, "config"))
+    schema = settings.pop("schema", None)
     if schema is None:
         raise ConfigError(f"missing mandatory 'schema' field (expected {SCHEMA_ID!r})")
     if schema != SCHEMA_ID:
         raise ConfigError(f"unsupported schema {schema!r} (this build reads {SCHEMA_ID!r})")
-    _check_keys(
-        raw,
-        {"schema", "seed", "trials", "modes", "ofdm", "arrays", "beams",
-         "scene", "estimation", "clustering", "metrics"},
-        "config",
-    )
+    kw = _resolve(settings, _CONFIG_KEYS)
 
-    ofdm_raw = _require_mapping(raw.get("ofdm"), "ofdm")
-    _check_keys(
-        ofdm_raw,
-        {"carrier_freq_hz", "bandwidth_hz", "num_subcarriers",
-         "subcarrier_spacing_hz", "tx_power_dbm", "noise_variance_dbm"},
-        "ofdm",
+    ofdm = _construct("ofdm", OfdmConfig, **kw.pop("ofdm", {}))
+    arrays = kw.pop("arrays", {})
+    spacing = arrays.pop("spacing", _STOCK_SPACING_WAVELENGTHS) * ofdm.wavelength
+    bs_geom, ue_geom = (
+        _construct("arrays", UpaGeometry, **{**shape, **arrays.get(name, {})},
+                   spacing=spacing, wavelength=ofdm.wavelength)
+        for name, shape in _STOCK_ARRAYS.items()
     )
-    try:
-        ofdm = OfdmConfig(
-            carrier_freq=float(ofdm_raw.get("carrier_freq_hz", 15.0e9)),
-            bandwidth=float(ofdm_raw.get("bandwidth_hz", 100.0e6)),
-            num_subcarriers=int(ofdm_raw.get("num_subcarriers", 64)),
-            subcarrier_spacing=(
-                None
-                if ofdm_raw.get("subcarrier_spacing_hz") is None
-                else float(ofdm_raw["subcarrier_spacing_hz"])
-            ),
-            tx_power_dbm=float(ofdm_raw.get("tx_power_dbm", 40.0)),
-            noise_variance_dbm=float(ofdm_raw.get("noise_variance_dbm", -93.85)),
+    # the BS sweeps 8 azimuth beams around broadside and a 4-beam elevation
+    # fan from DFT beam 11 (downtilt); the UE sweeps every beam of its array
+    beams = {"tx_az": (8, None), "tx_el": (4, 11),
+             "rx_az": (ue_geom.n_x, None), "rx_el": (ue_geom.n_y, None)}
+    for axis, spec in kw.pop("beams", {}).items():
+        if isinstance(spec, dict):  # a sector without a first beam centres on broadside
+            beams[axis] = (spec.get("num_beams", beams[axis][0]), spec.get("first_beam"))
+        else:  # a bare count keeps the default first beam
+            beams[axis] = (spec, beams[axis][1])
+
+    scene = kw.pop("scene", {})
+    if "foi_az" in scene or "foi_el" in scene:  # a partial FoI keeps the stock other half
+        scene["foi"] = _construct(
+            "scene", FoiBounds,
+            azimuth=scene.pop("foi_az", DEFAULT_FOI.azimuth),
+            elevation=scene.pop("foi_el", DEFAULT_FOI.elevation),
         )
-    except ValueError as exc:
-        raise ConfigError(f"ofdm: {exc}") from exc
+    scene_cfg = _construct("scene", SceneConfig, **scene, tx_array=bs_geom, rx_array=ue_geom)
 
-    arrays = _require_mapping(raw.get("arrays"), "arrays")
-    _check_keys(arrays, {"bs", "ue", "spacing_wavelengths"}, "arrays")
-    spacing_wl = float(arrays.get("spacing_wavelengths", 0.5))
-
-    def geom(key, default_nx, default_ny):
-        sub = _require_mapping(arrays.get(key), f"arrays.{key}")
-        _check_keys(sub, {"n_x", "n_y"}, f"arrays.{key}")
+    config = ScenarioConfig(
+        ofdm=ofdm, scene=scene_cfg, bs_geom=bs_geom, ue_geom=ue_geom, beams=beams, **kw, raw=raw
+    )
+    for key, (axis, _) in _BEAMS_KEYS.items():
         try:
-            return UpaGeometry(
-                n_x=int(sub.get("n_x", default_nx)),
-                n_y=int(sub.get("n_y", default_ny)),
-                spacing=spacing_wl * ofdm.wavelength,
-                wavelength=ofdm.wavelength,
-            )
+            config.codebook(axis)
         except ValueError as exc:
-            raise ConfigError(f"arrays.{key}: {exc}") from exc
-
-    bs_geom = geom("bs", 16, 16)
-    ue_geom = geom("ue", 8, 8)
-
-    beams_raw = _require_mapping(raw.get("beams"), "beams")
-    _check_keys(beams_raw, {"bs_az", "bs_el", "ue_az", "ue_el"}, "beams")
-    beams = {
-        "tx_az": _beam_spec(beams_raw.get("bs_az"), 8, None, "beams.bs_az"),
-        "tx_el": _beam_spec(beams_raw.get("bs_el"), 4, 11, "beams.bs_el"),
-        "rx_az": _beam_spec(beams_raw.get("ue_az"), ue_geom.n_x, None, "beams.ue_az"),
-        "rx_el": _beam_spec(beams_raw.get("ue_el"), ue_geom.n_y, None, "beams.ue_el"),
-    }
-
-    scene_raw = _require_mapping(raw.get("scene"), "scene")
-    _check_keys(
-        scene_raw,
-        {"tx_position", "num_receivers", "num_targets", "scatter_points_per_target",
-         "num_clutter", "ue_box", "target_box", "clutter_box", "target_extent_m",
-         "min_separation_m", "target_min_separation_m", "clutter_in_foi_fraction",
-         "timing_offset_range_ns", "foi_az_deg", "foi_el_deg", "foi_margin_deg",
-         "target_reflectivity_range", "clutter_reflectivity_range", "max_attempts"},
-        "scene",
-    )
-    scene_kwargs = dict(
-        tx_position=np.asarray(scene_raw.get("tx_position", [0.0, 0.0, 14.0]), dtype=float),
-        tx_array=bs_geom,
-        rx_array=ue_geom,
-    )
-    for src, dst, conv in [
-        ("num_receivers", "num_receivers", int),
-        ("num_targets", "num_targets", int),
-        ("scatter_points_per_target", "scatter_points_per_target", int),
-        ("num_clutter", "num_clutter", int),
-        ("target_extent_m", "target_extent_m", float),
-        ("min_separation_m", "min_separation_m", float),
-        ("target_min_separation_m", "target_min_separation_m", float),
-        ("clutter_in_foi_fraction", "clutter_in_foi_fraction", float),
-        ("foi_margin_deg", "foi_margin", lambda v: float(np.deg2rad(v))),
-        ("max_attempts", "max_attempts", int),
-    ]:
-        if scene_raw.get(src) is not None:
-            scene_kwargs[dst] = conv(scene_raw[src])
-    for box_key in ("ue_box", "target_box", "clutter_box"):
-        if scene_raw.get(box_key) is not None:
-            scene_kwargs[box_key] = np.asarray(scene_raw[box_key], dtype=float)
-    if scene_raw.get("timing_offset_range_ns") is not None:
-        scene_kwargs["to_range_s"] = float(scene_raw["timing_offset_range_ns"]) * 1.0e-9
-    if scene_raw.get("foi_az_deg") is not None or scene_raw.get("foi_el_deg") is not None:
-        scene_kwargs["foi"] = FoiBounds(
-            azimuth=float(np.deg2rad(scene_raw.get("foi_az_deg", 60.0))),
-            elevation=float(np.deg2rad(scene_raw.get("foi_el_deg", 30.0))),
-        )
-    for rng_key in ("target_reflectivity_range", "clutter_reflectivity_range"):
-        if scene_raw.get(rng_key) is not None:
-            lo, hi = scene_raw[rng_key]
-            scene_kwargs[rng_key] = (float(lo), float(hi))
-    try:
-        scene_cfg = SceneConfig(**scene_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"scene: {exc}") from exc
-
-    est_raw = _require_mapping(raw.get("estimation"), "estimation")
-    _check_keys(
-        est_raw,
-        {"effective_snr_db", "max_rank", "restarts", "max_sweeps", "rel_tol"},
-        "estimation",
-    )
-    clus_raw = _require_mapping(raw.get("clustering"), "clustering")
-    _check_keys(clus_raw, {"eps_m", "min_points"}, "clustering")
-    met_raw = _require_mapping(raw.get("metrics"), "metrics")
-    _check_keys(met_raw, {"detection_radius_m"}, "metrics")
-
-    seed = raw.get("seed", 0)
-    trials = raw.get("trials", 50)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError("trials must be a positive integer")
-    modes_raw = raw.get("modes", ["disac"])
-    if not isinstance(modes_raw, list) or not all(isinstance(m, str) for m in modes_raw):
-        raise ConfigError("modes must be a list of strings")
-    for m in modes_raw:
-        parse_mode(m)  # validate early
-
-    snr = est_raw.get("effective_snr_db", 20.0)
-    return ScenarioConfig(
-        ofdm=ofdm,
-        scene=scene_cfg,
-        bs_geom=bs_geom,
-        ue_geom=ue_geom,
-        beams=beams,
-        effective_snr_db=None if snr is None else float(snr),
-        max_rank=int(est_raw.get("max_rank", 12)),
-        restarts=int(est_raw.get("restarts", 3)),
-        max_sweeps=int(est_raw.get("max_sweeps", 300)),
-        rel_tol=float(est_raw.get("rel_tol", 1.0e-8)),
-        eps_m=float(clus_raw.get("eps_m", 2.0)),
-        min_points=int(clus_raw.get("min_points", 2)),
-        detection_radius_m=float(met_raw.get("detection_radius_m", 5.0)),
-        seed=seed,
-        trials=trials,
-        modes=tuple(modes_raw),
-        raw=raw,
-    )
+            raise ConfigError(f"beams.{key}: {exc}") from exc
+    n_rx = scene_cfg.num_receivers
+    for mode in map(parse_mode, config.modes):
+        if mode.kind == "isac" and not 0 <= mode.ue_id < n_rx:
+            raise ConfigError(
+                f"modes: {mode.name!r} names receiver {mode.ue_id}, but the scenario has "
+                f"{n_rx} receivers (ids 0..{n_rx - 1})"
+            )
+    return config
 
 
 def default_scenario(**overrides) -> ScenarioConfig:
     """The stock two-receiver desk scenario; overrides patch the raw dict."""
-    raw: dict = {"schema": SCHEMA_ID}
-    raw.update(overrides)
-    return scenario_from_dict(raw)
+    return scenario_from_dict({"schema": SCHEMA_ID, **overrides})
 
 
-def load_config(path: str) -> ScenarioConfig:
+def load_config(path: str, **overrides) -> ScenarioConfig:
+    """Read a YAML scenario; ``overrides`` replace its top-level keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -338,7 +360,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict({**_require_mapping(raw, "config"), **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +372,8 @@ class EmpiricalCdf:
     """Right-continuous empirical distribution of a finite sample.
 
     quantile() interpolates linearly between the nodes (i/n, x_(i)),
-    so quantile(cdf(x)) == x for every sample value x; below 1/n it
-    clamps to the smallest sample.
+    so quantile(cdf(x)) returns each sample value x to within about one
+    ulp (rounding); below 1/n it clamps to the smallest sample.
     """
 
     def __init__(self, values):
@@ -541,7 +563,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     paths_by_rx: dict[int, list] = {}
     t0 = time.perf_counter()
     for rx in scene.receivers:
-        rx_seed = seed * _SEED_STRIDE + rx.node_id
+        rx_seed = receiver_seed(seed, rx.node_id)
         try:
             tensor = synthesize_tensor(
                 scene,
@@ -711,21 +733,17 @@ def run_montecarlo(
     trials: int | None = None,
     progress: bool = False,
 ) -> MonteCarloResult:
-    mode_names = list(modes if modes is not None else config.modes)
-    parsed = [parse_mode(m) for m in mode_names]
-    for m in parsed:
-        if m.kind == "isac" and not 0 <= m.ue_id < config.scene.num_receivers:
-            raise ConfigError(
-                f"mode {m.name!r} names receiver {m.ue_id}, but the scenario has "
-                f"{config.scene.num_receivers} receivers (ids 0..{config.scene.num_receivers - 1})"
-            )
-    n_trials = trials if trials is not None else config.trials
+    """Run the config's trials; ``modes`` and ``trials`` pass the config's checks."""
+    overrides = {k: v for k, v in dict(modes=modes, trials=trials).items() if v is not None}
+    if overrides:
+        config = scenario_from_dict({**config.raw, **overrides})
+    parsed = [parse_mode(m) for m in config.modes]
     results = []
-    for i in range(n_trials):
+    for i in range(config.trials):
         results.append(run_trial(config, i, parsed))
         if progress:
-            logger.info("trial %d/%d done", i + 1, n_trials)
-    return MonteCarloResult(config=config.raw, modes=mode_names, trials=results)
+            logger.info("trial %d/%d done", i + 1, config.trials)
+    return MonteCarloResult(config=config.raw, modes=list(config.modes), trials=results)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Philox stream ids (second key word) used by this module.
 _STREAM_PATH_PHASE = 7
 
+DEFAULT_FOI = FoiBounds(np.deg2rad(60.0), np.deg2rad(30.0))  # +-60 deg az, +-30 deg el
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -362,9 +364,9 @@ class SceneConfig:
     downstream clustering.
     """
 
-    tx_position: np.ndarray
     tx_array: UpaGeometry
     rx_array: UpaGeometry
+    tx_position: np.ndarray = (0.0, 0.0, 14.0)  # the BS mast
     num_receivers: int = 2
     num_targets: int = 2
     scatter_points_per_target: int = 3
@@ -383,7 +385,7 @@ class SceneConfig:
     target_min_separation_m: float = 12.0
     clutter_in_foi_fraction: float = 0.0
     to_range_s: float = 2.0e-7
-    foi: FoiBounds = field(default_factory=lambda: FoiBounds(np.deg2rad(60.0), np.deg2rad(30.0)))
+    foi: FoiBounds = DEFAULT_FOI
     foi_margin: float = np.deg2rad(5.0)
     target_reflectivity_range: tuple[float, float] = (0.5, 2.0)
     # clutter stays at or below 1: a single bounce with reflectivity <= 1
@@ -394,14 +396,14 @@ class SceneConfig:
 
     def __post_init__(self):
         self.tx_position = as_vec3(self.tx_position)
-        self.ue_box = _check_box(self.ue_box)
-        self.target_box = _check_box(self.target_box)
-        self.clutter_box = _check_box(self.clutter_box)
+        self.ue_box = check_box(self.ue_box)
+        self.target_box = check_box(self.target_box)
+        self.clutter_box = check_box(self.clutter_box)
         if not 0.0 <= self.clutter_in_foi_fraction <= 1.0:
             raise ValueError("clutter_in_foi_fraction must lie in [0, 1]")
 
 
-def _check_box(box) -> np.ndarray:
+def check_box(box) -> np.ndarray:
     b = np.asarray(box, dtype=float)
     if b.shape != (3, 2) or np.any(b[:, 1] < b[:, 0]):
         raise ValueError("box must be (3, 2) with max >= min per axis")

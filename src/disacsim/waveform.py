@@ -138,7 +138,7 @@ def dft_codebook(axis_size: int, num_beams: int, axis: str, first_beam: int | No
     downtilted elevation fan.
     """
     if not 1 <= num_beams <= axis_size:
-        raise ValueError("num_beams must lie in [1, axis_size]")
+        raise ValueError(f"num_beams must lie in [1, {axis_size}], got {num_beams}")
     if first_beam is None:
         first_beam = -(num_beams // 2)
     indices = tuple(int((first_beam + j) % axis_size) for j in range(num_beams))

@@ -70,6 +70,22 @@ def test_bad_mode_flag(capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["e2e", "--seed", "-1"], ["montecarlo", "--trials", "0"], ["e2e", "--mode", "isac:9"]],
+)
+def test_out_of_range_flag_is_a_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_non_numeric_setting_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, estimation={"max_rank": "many"})
+    assert main(["e2e", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "estimation.max_rank" in err
+
+
 def test_simulate_then_estimate(tmp_path, capsys):
     cfg = write_config(tmp_path, scene={**MINI["scene"], "num_receivers": 1})
     out_dir = tmp_path / "sim"
@@ -109,10 +125,24 @@ def test_montecarlo_two_modes(tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     assert doc["modes"] == ["disac", "isac:0"]
     assert len(doc["trials"]) == 1
+    assert doc["config"]["seed"] == 3 and doc["trials"][0]["seed"] == 3
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "trial"
     assert len(rows) > 1
+
+
+def test_montecarlo_records_the_flags_that_ran(tmp_path, capsys):
+    cfg = write_config(tmp_path, estimation={"max_rank": 2, "restarts": 1, "max_sweeps": 3})
+    out_json = tmp_path / "mc.json"
+    rc = main([
+        "montecarlo", "--config", cfg, "--seed", "11", "--mode", "disac",
+        "--out-json", str(out_json),
+    ])
+    assert rc == 0
+    doc = json.loads(out_json.read_text())
+    assert doc["config"]["seed"] == 11 and doc["config"]["modes"] == ["disac"]
+    assert doc["trials"][0]["seed"] == 11 and doc["modes"] == ["disac"]
 
 
 def test_montecarlo_rejects_unknown_receiver(tmp_path, capsys):

@@ -126,6 +126,13 @@ def test_cpd_zero_tensor():
     assert cp.residual_history == [0.0]
 
 
+def test_als_options_reject_empty_runs():
+    with pytest.raises(ValueError, match="max_sweeps"):
+        AlsOptions(max_sweeps=0)
+    with pytest.raises(ValueError, match="restarts"):
+        AlsOptions(restarts=0)
+
+
 def test_cpd_rank_validation():
     tensor, _ = planted_tensor(1, [1.0])
     with pytest.raises(ValueError):

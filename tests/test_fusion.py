@@ -63,6 +63,9 @@ def test_layout_column_order():
     assert layout.col_position(0) == 7 and layout.col_position(5) == 10
     assert layout.col_los_range(0) == 13 and layout.col_los_range(5) == 14
     assert layout.num_unknowns == 15
+    assert layout.labels[1] == "r[target 2]" and layout.labels[3] == "d[target 1, receiver 5]"
+    assert layout.labels[6] == "c*dt[receiver 5]" and layout.labels[9] == "p_z[receiver 0]"
+    assert layout.labels[14] == "r_los[receiver 5]" and len(layout.labels) == 15
 
 
 def test_system_shape_two_by_two():

@@ -103,6 +103,15 @@ def test_default_scenario_values():
 def test_default_scenario_overrides():
     cfg = default_scenario(trials=7, estimation={"restarts": 1, "max_rank": 6})
     assert cfg.trials == 7 and cfg.restarts == 1 and cfg.max_rank == 6
+    # null keeps the default, except that it switches SNR calibration off
+    cfg = default_scenario(
+        seed=None, ofdm={"num_subcarriers": None}, estimation={"effective_snr_db": None}
+    )
+    assert cfg.seed == 0 and cfg.ofdm.num_subcarriers == 64 and cfg.effective_snr_db is None
+    # a partial field of interest keeps the stock other half
+    foi = default_scenario(scene={"foi_az_deg": 45.0}).scene.foi
+    assert foi.azimuth == pytest.approx(np.deg2rad(45.0))
+    assert foi.elevation == default_scenario().scene.foi.elevation
 
 
 def test_config_schema_gate():
@@ -130,10 +139,27 @@ def test_config_rejects_bad_values():
         scenario_from_dict({"schema": SCHEMA, "modes": "disac"})
     with pytest.raises(ConfigError):
         scenario_from_dict({"schema": SCHEMA, "modes": ["warp"]})
+    with pytest.raises(ConfigError, match="isac:2"):  # the stock scenario has receivers 0 and 1
+        scenario_from_dict({"schema": SCHEMA, "modes": ["isac:2"]})
     with pytest.raises(ConfigError, match="arrays.bs"):
         scenario_from_dict({"schema": SCHEMA, "arrays": {"bs": {"n_x": 0}}})
     with pytest.raises(ConfigError, match="mapping"):
         scenario_from_dict({"schema": SCHEMA, "scene": [1, 2]})
+    with pytest.raises(ConfigError, match="estimation.max_rank"):
+        scenario_from_dict({"schema": SCHEMA, "estimation": {"max_rank": "abc"}})
+    with pytest.raises(ConfigError, match="scene.num_targets"):
+        scenario_from_dict({"schema": SCHEMA, "scene": {"num_targets": "two"}})
+    with pytest.raises(ConfigError, match="beams.bs_az.num"):
+        scenario_from_dict({"schema": SCHEMA, "beams": {"bs_az": {"num": "x"}}})
+    with pytest.raises(ConfigError, match="scene.clutter_reflectivity_range"):
+        scenario_from_dict(
+            {"schema": SCHEMA, "scene": {"clutter_reflectivity_range": [0.1, 0.5, 0.9]}}
+        )
+    with pytest.raises(ConfigError, match="scene.ue_box"):
+        scenario_from_dict({"schema": SCHEMA, "scene": {"ue_box": [1.0, 2.0]}})
+    # more beams than the 16-element BS azimuth axis has
+    with pytest.raises(ConfigError, match="beams.bs_az"):
+        scenario_from_dict({"schema": SCHEMA, "beams": {"bs_az": 40}})
 
 
 def test_load_config(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,8 +221,10 @@ def test_localize_single_ill_conditioned_names_receiver():
         gain=paths[1].gain, delay=paths[1].delay, aoa=aoa, aod=paths[1].aod
     )
     np.testing.assert_allclose(path_directions(paths[1], rot)[1], u_bs, atol=1e-12)
-    with pytest.raises(LocalizationError, match=r"^receiver 7: .*condition"):
+    with pytest.raises(LocalizationError, match=r"^receiver 7: .*condition") as exc:
         localize_single(paths, 0, 7, rot, scene.tx.position, SPEED_OF_LIGHT)
+    # each path is its own target cluster: the message names path 1's unknown
+    assert re.search(r"\((r|d)\[target 1\b[^)]*\]\)$", str(exc.value)), str(exc.value)
 
 
 def test_localize_single_ls_equals_equal_weights():
