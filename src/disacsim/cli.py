@@ -80,16 +80,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _int_flag(flag: str, text, minimum: int) -> int:
+    """The integer value of ``flag``, at least ``minimum``, or a ConfigError."""
+    try:
+        value = int(text)
+        if value >= minimum:
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{flag}: expected an integer >= {minimum}, got {text!r}")
+
+
 def cmd_estimate(args) -> int:
+    rank = "auto" if args.rank == "auto" else _int_flag("--rank", args.rank, 0)
+    max_rank = _int_flag("--max-rank", args.max_rank, 1)
+    opts = AlsOptions(
+        seed=_int_flag("--seed", args.seed, 0),
+        restarts=_int_flag("--restarts", args.restarts, 1),
+    )
     try:
         tensor = load_tensor(args.tensor)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read tensor {args.tensor}: {exc}") from exc
-    try:
-        opts = AlsOptions(seed=args.seed, restarts=args.restarts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    paths = estimate_paths(tensor, rank=args.rank, opts=opts, max_rank=args.max_rank)
+    paths = estimate_paths(tensor, rank=rank, opts=opts, max_rank=max_rank)
     doc = {"num_paths": len(paths), "paths": [_path_to_dict(p) for p in paths]}
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
@@ -151,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate paths from an exported tensor")
     p.add_argument("--tensor", required=True, help="tensor file prefix (no extension)")
-    p.add_argument("--rank", default="auto", help="model order, or 'auto'")
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rank", default="auto", help="model order >= 0, or 'auto'")
+    p.add_argument("--max-rank", default=DEFAULT_MAX_RANK, help="cap on the 'auto' order")
+    p.add_argument("--restarts", default=AlsOptions.restarts)
+    p.add_argument("--seed", default=AlsOptions.seed)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_estimate)
 

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnglePair, angles_from_cosines
-from .scene import LABEL_LOS, PathRecord
+from .scene import LABEL_LOS, PathRecord, phase_ramp
 from .waveform import (
     BeamCodebook,
     MeasurementTensor,
     beam_response,
+    expected_noise_energy,
     path_beam_factors,
-    phase_ramp,
+    rank_one_sum,
 )
 
 logger = logging.getLogger(__name__)
@@ -54,9 +55,11 @@ class AlsMonotonicityError(RuntimeError):
 
 @dataclass
 class AlsOptions:
-    max_sweeps: int = 500
+    """ALS stopping rule and restarts; these are the stock values everywhere."""
+
+    max_sweeps: int = 300
     rel_tol: float = 1.0e-8
-    restarts: int = 5
+    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -85,21 +88,21 @@ class CpFactors:
         return len(self.gains)
 
     def reconstruct(self) -> np.ndarray:
-        order = len(self.factors)
-        operands = [self.gains, [order]]
-        for i, f in enumerate(self.factors):
-            operands.append(f)
-            operands.append([i, order])
-        return np.einsum(*operands, list(range(order)), optimize=True)
+        return rank_one_sum(self.gains, [f.T for f in self.factors])
+
+
+def _pivot_rotation(column: np.ndarray) -> complex:
+    """Unit phasor turning a column's largest-magnitude entry real positive.
+
+    A zero column needs no turn: the rotation is then 1.
+    """
+    pivot = column[int(np.argmax(np.abs(column)))]
+    return np.conj(pivot) / abs(pivot) if pivot != 0 else 1.0
 
 
 def canonical_phase(column: np.ndarray) -> np.ndarray:
     """Rotate a column so its largest-magnitude entry is real positive."""
-    idx = int(np.argmax(np.abs(column)))
-    pivot = column[idx]
-    if pivot == 0:
-        return column.copy()
-    return column * (np.conj(pivot) / abs(pivot))
+    return column * _pivot_rotation(column)
 
 
 def _tensor_data(tensor) -> np.ndarray:
@@ -227,14 +230,9 @@ def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) 
         gains = gains * norms
         cols = []
         for l in range(rank):
-            col = fn[:, l]
-            idx = int(np.argmax(np.abs(col)))
-            pivot = col[idx]
-            if pivot != 0:
-                rot = np.conj(pivot) / abs(pivot)
-                col = col * rot
-                gains[l] = gains[l] / rot
-            cols.append(col)
+            rot = _pivot_rotation(fn[:, l])
+            cols.append(fn[:, l] * rot)
+            gains[l] = gains[l] / rot
         unit.append(np.stack(cols, axis=1))
     return CpFactors(factors=unit, gains=gains, residual=residual, residual_history=history)
 
@@ -249,16 +247,14 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
 
     For every mode unfolding (an m x n matrix) the noise singular values
     concentrate below sqrt(var_entry) * (sqrt(m) + sqrt(n)), where
-    var_entry is the per-entry beamspace noise variance implied by the
-    stored element noise power and the codebook column norms. Singular
+    var_entry is the per-entry beamspace noise variance, E||N||^2 spread
+    evenly over the tensor's entries (see expected_noise_energy). Singular
     values above NOISE_MARGIN times that edge (and above REL_FLOOR times
     the largest, for the noiseless case) count as signal; the answer is
     the largest count over modes, capped at max_rank.
     """
     data = tensor.data
-    g_el = np.real(np.diag(tensor.codebooks.rx_el.gram()))
-    g_az = np.real(np.diag(tensor.codebooks.rx_az.gram()))
-    var_entry = tensor.noise_var * float(np.mean(g_az)) * float(np.mean(g_el))
+    var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
     best = 0
     for mode in range(data.ndim):
         unf = _unfold(data, mode)

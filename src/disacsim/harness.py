@@ -49,7 +49,14 @@ from .scene import (
     random_scene,
     scene_to_dict,
 )
-from .waveform import AXIS_LABELS, CodebookSet, OfdmConfig, dft_codebook, synthesize_tensor
+from .waveform import (
+    AXIS_LABELS,
+    CodebookSet,
+    OfdmConfig,
+    axis_elements,
+    dft_codebook,
+    synthesize_tensor,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -257,9 +264,9 @@ class ScenarioConfig:
     beams: dict[str, tuple[int, int | None]]  # axis -> (count, first beam)
     effective_snr_db: float | None = 20.0
     max_rank: int = DEFAULT_MAX_RANK
-    restarts: int = 3
-    max_sweeps: int = 300
-    rel_tol: float = 1.0e-8
+    restarts: int = AlsOptions.restarts
+    max_sweeps: int = AlsOptions.max_sweeps
+    rel_tol: float = AlsOptions.rel_tol
     eps_m: float = DEFAULT_EPS_M
     min_points: int = DEFAULT_MIN_POINTS
     detection_radius_m: float = 5.0
@@ -269,9 +276,8 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
     def codebook(self, axis: str):
-        geom = self.ue_geom if axis.startswith("rx") else self.bs_geom
-        size = geom.n_x if axis.endswith("az") else geom.n_y
         num, first = self.beams[axis]
+        size = axis_elements(axis, self.ue_geom, self.bs_geom)
         return dft_codebook(size, num, axis, first_beam=first)
 
     def codebooks(self) -> CodebookSet:
@@ -368,41 +374,19 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of a finite sample.
-
-    quantile() interpolates linearly between the nodes (i/n, x_(i)),
-    so quantile(cdf(x)) returns each sample value x to within about one
-    ulp (rounding); below 1/n it clamps to the smallest sample.
-    """
-
-    def __init__(self, values):
-        vals = np.sort(np.asarray(list(values), dtype=float))
-        if vals.size == 0:
-            raise ValueError("empty sample")
-        if np.any(np.isnan(vals)):
-            raise ValueError("sample contains NaN")
-        self.values = vals
-
-    def __call__(self, x: float) -> float:
-        return float(np.searchsorted(self.values, x, side="right")) / self.values.size
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        n = self.values.size
-        pos = p * n
-        if pos <= 1.0:
-            return float(self.values[0])
-        lo = int(math.floor(pos))
-        if lo >= n:
-            return float(self.values[-1])
-        frac = pos - lo
-        return float((1.0 - frac) * self.values[lo - 1] + frac * self.values[lo])
-
-
 def percentile(values, p: float) -> float:
-    return EmpiricalCdf(values).quantile(p)
+    """Sample quantile that interpolates linearly between the nodes (i/n, x_(i)).
+
+    Below 1/n it clamps to the smallest sample.
+    """
+    vals = np.asarray(list(values), dtype=float)
+    if vals.size == 0:
+        raise ValueError("empty sample")
+    if np.any(np.isnan(vals)):
+        raise ValueError("sample contains NaN")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    return float(np.quantile(vals, p, method="interpolated_inverted_cdf"))
 
 
 def median(values) -> float:

@@ -248,13 +248,19 @@ def steering_vector(angles: AnglePair, geom: UpaGeometry) -> np.ndarray:
     return np.kron(ax, ay)
 
 
+def phase_ramp(omega: float | np.ndarray, num_elements: int) -> np.ndarray:
+    """Element-axis ramp exp(j * omega * n); omega may be a grid."""
+    scalar = np.ndim(omega) == 0
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    ramp = np.exp(1j * om[:, None] * np.arange(num_elements)[None, :])
+    return ramp[0] if scalar else ramp
+
+
 def axis_responses(angles: AnglePair, geom: UpaGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis phase ramps (a_x, a_y) whose Kronecker product is the full response."""
     ux, uy = direction_cosines(angles)
     scale = geom.phase_scale
-    ax = np.exp(1j * scale * ux * np.arange(geom.n_x))
-    ay = np.exp(1j * scale * uy * np.arange(geom.n_y))
-    return ax, ay
+    return phase_ramp(scale * ux, geom.n_x), phase_ramp(scale * uy, geom.n_y)
 
 
 def path_delay(scene: Scene, rx_id: int, scatter_point) -> float:

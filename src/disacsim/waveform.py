@@ -18,11 +18,11 @@ for the column-major vectorization of the tensor.
 """
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AnglePair
 from .scene import (
     SPEED_OF_LIGHT,
     PathRecord,
@@ -32,6 +32,7 @@ from .scene import (
     generate_ground_truth_paths,
     geom_from_dict,
     geom_to_dict,
+    phase_ramp,
     steering_vector,
 )
 
@@ -147,6 +148,12 @@ def dft_codebook(axis_size: int, num_beams: int, axis: str, first_beam: int | No
     return BeamCodebook(matrix=cols, axis=axis, beam_indices=indices)
 
 
+def axis_elements(label: str, rx_geom: UpaGeometry, tx_geom: UpaGeometry) -> int:
+    """Element count of the array axis that codebook ``label`` addresses."""
+    geom = rx_geom if label.startswith("rx") else tx_geom
+    return geom.n_x if label.endswith("az") else geom.n_y
+
+
 @dataclass
 class CodebookSet:
     """The four per-axis codebooks plus the array geometries they address."""
@@ -159,13 +166,9 @@ class CodebookSet:
     tx_geom: UpaGeometry
 
     def __post_init__(self):
-        checks = [
-            (self.rx_el, "rx_el", self.rx_geom.n_y),
-            (self.rx_az, "rx_az", self.rx_geom.n_x),
-            (self.tx_el, "tx_el", self.tx_geom.n_y),
-            (self.tx_az, "tx_az", self.tx_geom.n_x),
-        ]
-        for cb, label, n_expected in checks:
+        for label in AXIS_LABELS:
+            cb = getattr(self, label)
+            n_expected = axis_elements(label, self.rx_geom, self.tx_geom)
             if cb.axis != label:
                 raise ValueError(f"codebook in slot {label} is labeled {cb.axis}")
             if cb.num_elements != n_expected:
@@ -176,12 +179,7 @@ class CodebookSet:
 
     @property
     def beam_shape(self) -> tuple[int, int, int, int]:
-        return (
-            self.rx_el.num_beams,
-            self.rx_az.num_beams,
-            self.tx_el.num_beams,
-            self.tx_az.num_beams,
-        )
+        return tuple(getattr(self, label).num_beams for label in AXIS_LABELS)
 
 
 def beam_response(codebook: BeamCodebook, ramp: np.ndarray) -> np.ndarray:
@@ -196,14 +194,6 @@ def beam_response(codebook: BeamCodebook, ramp: np.ndarray) -> np.ndarray:
     if codebook.axis.startswith("tx"):
         return resp.conj()
     return resp
-
-
-def phase_ramp(omega: float | np.ndarray, num_elements: int) -> np.ndarray:
-    """Element-axis ramp exp(j * omega * n); omega may be a grid."""
-    scalar = np.ndim(omega) == 0
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    ramp = np.exp(1j * om[:, None] * np.arange(num_elements)[None, :])
-    return ramp[0] if scalar else ramp
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +229,13 @@ def path_beam_factors(
     """The five per-axis signatures of one path (unit gain)."""
     rx_ax, rx_ay = axis_responses(path.aoa, books.rx_geom)
     tx_ax, tx_ay = axis_responses(path.aod, books.tx_geom)
-    k = np.arange(ofdm.num_subcarriers)
-    delay_ramp = np.exp(-2j * np.pi * ofdm.subcarrier_spacing * path.delay * k)
+    omega = -2.0 * np.pi * ofdm.subcarrier_spacing * path.delay
     return (
         beam_response(books.rx_el, rx_ay),
         beam_response(books.rx_az, rx_ax),
         beam_response(books.tx_el, tx_ay),
         beam_response(books.tx_az, tx_ax),
-        delay_ramp,
+        phase_ramp(omega, ofdm.num_subcarriers),
     )
 
 
@@ -277,6 +266,14 @@ class MeasurementTensor:
             raise ValueError("noise variance must be nonnegative")
 
 
+def rank_one_sum(gains: np.ndarray, stacked: list[np.ndarray]) -> np.ndarray:
+    """Order-5 tensor sum_l gains[l] * stacked[0][l] o ... o stacked[4][l].
+
+    stacked[i] has shape (terms, dim_i): one row per rank-1 term.
+    """
+    return np.einsum("l,la,lb,lc,ld,le->abcde", gains, *stacked, optimize=True)
+
+
 def tensor_from_paths(
     paths: list[PathRecord],
     books: CodebookSet,
@@ -288,21 +285,12 @@ def tensor_from_paths(
     gains defaults to tx_amplitude * path.gain; pass explicit values to
     plant arbitrary coefficients.
     """
-    shape = books.beam_shape + (ofdm.num_subcarriers,)
-    data = np.zeros(shape, dtype=complex)
     if not paths:
-        return data
+        return np.zeros(books.beam_shape + (ofdm.num_subcarriers,), dtype=complex)
     if gains is None:
         gains = np.array([ofdm.tx_amplitude * p.gain for p in paths])
     factors = [path_beam_factors(p, books, ofdm) for p in paths]
-    stacked = [np.stack([f[i] for f in factors]) for i in range(5)]
-    data = np.einsum(
-        "l,la,lb,lc,ld,le->abcde",
-        np.asarray(gains),
-        *stacked,
-        optimize=True,
-    )
-    return data
+    return rank_one_sum(np.asarray(gains), [np.stack([f[i] for f in factors]) for i in range(5)])
 
 
 def beamspace_noise(
@@ -380,22 +368,20 @@ def synthesize_tensor(
 # Tensor file format
 # ---------------------------------------------------------------------------
 #
-# <prefix>.bin: float64 pairs (re, im) in C order of the 5-D array.
+# <prefix>.bin: the 5-D array as complex128 in C order, i.e. float64 pairs
+# (re, im) in the machine's byte order.
 # <prefix>.json: shape, axis order, codebook recipe, OFDM grid, noise power.
 
 
 def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
     """Write <prefix>.bin and <prefix>.json; returns both paths."""
     bin_path, json_path = prefix + ".bin", prefix + ".json"
-    flat = np.empty(tensor.data.size * 2, dtype=np.float64)
-    flat[0::2] = tensor.data.real.ravel(order="C")
-    flat[1::2] = tensor.data.imag.ravel(order="C")
-    flat.tofile(bin_path)
+    tensor.data.tofile(bin_path)  # C order whatever the memory layout
     books = tensor.codebooks
     header = {
         "format": "disacsim-tensor/1",
         "shape": list(tensor.data.shape),
-        "axes": ["rx_el", "rx_az", "tx_el", "tx_az", "subcarrier"],
+        "axes": [*AXIS_LABELS, "subcarrier"],
         "storage": "row-major float64 interleaved re/im",
         "noise_var": tensor.noise_var,
         "ofdm": {
@@ -410,15 +396,10 @@ def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
         "tx_geom": geom_to_dict(books.tx_geom),
         "codebooks": {
             label: {
-                "axis_size": cb.num_elements,
-                "beam_indices": list(cb.beam_indices),
+                "axis_size": getattr(books, label).num_elements,
+                "beam_indices": list(getattr(books, label).beam_indices),
             }
-            for label, cb in (
-                ("rx_el", books.rx_el),
-                ("rx_az", books.rx_az),
-                ("tx_el", books.tx_el),
-                ("tx_az", books.tx_az),
-            )
+            for label in AXIS_LABELS
         },
     }
     with open(json_path, "w") as fh:
@@ -436,10 +417,10 @@ def load_tensor(prefix: str) -> MeasurementTensor:
     if header.get("format") != "disacsim-tensor/1":
         raise ValueError(f"unrecognized tensor format {header.get('format')!r}")
     shape = tuple(header["shape"])
-    flat = np.fromfile(prefix + ".bin", dtype=np.float64)
-    if flat.size != 2 * int(np.prod(shape)):
+    bin_path = prefix + ".bin"
+    if os.path.getsize(bin_path) != np.dtype(np.complex128).itemsize * int(np.prod(shape)):
         raise ValueError("binary payload size does not match the header shape")
-    data = (flat[0::2] + 1j * flat[1::2]).reshape(shape)
+    data = np.fromfile(bin_path, dtype=np.complex128).reshape(shape)
     o = header["ofdm"]
     ofdm = OfdmConfig(
         carrier_freq=o["carrier_freq"],
@@ -461,14 +442,7 @@ def load_tensor(prefix: str) -> MeasurementTensor:
                 f"{label} beam indices {list(idx)} are not a contiguous DFT sector"
             )
         cbs[label] = cb
-    books = CodebookSet(
-        rx_el=cbs["rx_el"],
-        rx_az=cbs["rx_az"],
-        tx_el=cbs["tx_el"],
-        tx_az=cbs["tx_az"],
-        rx_geom=rx_geom,
-        tx_geom=tx_geom,
-    )
+    books = CodebookSet(**cbs, rx_geom=rx_geom, tx_geom=tx_geom)
     return MeasurementTensor(
         data=data, codebooks=books, ofdm=ofdm, noise_var=header["noise_var"]
     )

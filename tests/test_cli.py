@@ -4,7 +4,12 @@ import json
 import pytest
 import yaml
 
+from disacsim import cli
 from disacsim.cli import main
+from disacsim.estimator import AlsOptions
+from disacsim.harness import default_scenario
+from disacsim.scene import random_scene
+from disacsim.waveform import export_tensor, synthesize_tensor
 
 MINI = {
     "schema": "disacsim-config/1",
@@ -150,3 +155,67 @@ def test_montecarlo_rejects_unknown_receiver(tmp_path, capsys):
     rc = main(["montecarlo", "--config", cfg])
     assert rc == 2
     assert "isac:9" in capsys.readouterr().err
+
+
+def small_tensor(tmp_path) -> str:
+    """Export one receiver's tensor of the MINI scenario; returns the file prefix."""
+    raw = {k: v for k, v in MINI.items() if k != "schema"}
+    config = default_scenario(**raw)
+    scene = random_scene(config.scene, config.seed)
+    tensor = synthesize_tensor(scene, 0, config.codebooks(), config.ofdm, noise_seed=1)
+    prefix = str(tmp_path / "rx0")
+    export_tensor(tensor, prefix)
+    return prefix
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--rank", "abc"], "--rank"),
+        (["--rank", "-1"], "--rank"),
+        (["--rank", "1.5"], "--rank"),
+        (["--max-rank", "-3"], "--max-rank"),
+        (["--max-rank", "0"], "--max-rank"),
+        (["--max-rank", "many"], "--max-rank"),
+        (["--seed", "-1"], "--seed"),
+        (["--seed", "x"], "--seed"),
+        (["--restarts", "0"], "--restarts"),
+    ],
+)
+def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, named):
+    prefix = small_tensor(tmp_path)
+    assert main(["estimate", "--tensor", prefix, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+def test_estimate_rank_zero_returns_no_paths(tmp_path, capsys):
+    prefix = small_tensor(tmp_path)
+    assert main(["estimate", "--tensor", prefix, "--rank", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"num_paths": 0, "paths": []}
+
+
+def test_estimate_rejects_a_truncated_tensor(tmp_path, capsys):
+    prefix = small_tensor(tmp_path)
+    with open(prefix + ".bin", "r+b") as fh:
+        fh.truncate(8)
+    assert main(["estimate", "--tensor", prefix]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read tensor")
+
+
+def test_estimate_defaults_to_the_stock_als_options(monkeypatch, capsys):
+    seen = {}
+
+    def fake_estimate(tensor, rank, opts, max_rank):
+        seen.update(rank=rank, opts=opts, max_rank=max_rank)
+        return []
+
+    monkeypatch.setattr(cli, "load_tensor", lambda prefix: object())
+    monkeypatch.setattr(cli, "estimate_paths", fake_estimate)
+    assert main(["estimate", "--tensor", "t"]) == 0
+    opts = seen["opts"]
+    assert opts.restarts == AlsOptions().restarts
+    assert opts.max_sweeps == AlsOptions().max_sweeps
+    assert opts == AlsOptions(seed=0)
+    assert seen["rank"] == "auto"

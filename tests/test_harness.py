@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from disacsim import harness
+from disacsim.estimator import AlsOptions
 from disacsim.fusion import SceneEstimate
 from disacsim.geometry import BORESIGHT_ALONG_X
 from disacsim.harness import (
     CSV_COLUMNS,
     ConfigError,
-    EmpiricalCdf,
     Mode,
     ModeOutcome,
     MonteCarloResult,
@@ -100,6 +100,10 @@ def test_default_scenario_values():
     assert cfg.effective_snr_db == 20.0
 
 
+def test_default_scenario_takes_the_als_defaults():
+    assert default_scenario().als_options(7) == AlsOptions(seed=7)
+
+
 def test_default_scenario_overrides():
     cfg = default_scenario(trials=7, estimation={"restarts": 1, "max_rank": 6})
     assert cfg.trials == 7 and cfg.restarts == 1 and cfg.max_rank == 6
@@ -180,48 +184,49 @@ def test_load_config(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_cdf_basic_values():
-    cdf = EmpiricalCdf([0.1, 0.2, 0.3, 0.4, 0.5])
-    assert cdf(0.3) == pytest.approx(0.6)
-    assert cdf(0.05) == 0.0
-    assert cdf(0.5) == 1.0
-    assert cdf(2.0) == 1.0
+def test_percentile_validation():
+    with pytest.raises(ValueError, match="empty"):
+        percentile([], 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        median([])
+    with pytest.raises(ValueError, match="NaN"):
+        percentile([1.0, float("nan")], 0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        median(iter([float("nan")]))
+    with pytest.raises(ValueError, match="p must"):
+        percentile([1.0, 2.0], 1.5)
+    with pytest.raises(ValueError, match="p must"):
+        percentile([1.0, 2.0], -0.1)
+    with pytest.raises(ValueError, match="p must"):
+        percentile([1.0, 2.0], float("nan"))
 
 
-def test_cdf_validation():
-    with pytest.raises(ValueError):
-        EmpiricalCdf([])
-    with pytest.raises(ValueError):
-        EmpiricalCdf([1.0, float("nan")])
-    cdf = EmpiricalCdf([1.0, 2.0])
-    with pytest.raises(ValueError):
-        cdf.quantile(1.5)
-    with pytest.raises(ValueError):
-        cdf.quantile(-0.1)
+def test_percentile_single_sample():
+    assert percentile([3.0], 0.0) == 3.0
+    assert percentile([3.0], 0.2) == 3.0
+    assert percentile([3.0], 1.0) == 3.0
+    assert median((3.0,)) == 3.0
 
 
-def test_cdf_single_sample_is_a_step():
-    cdf = EmpiricalCdf([3.0])
-    assert cdf(2.999999) == 0.0
-    assert cdf(3.0) == 1.0
-    assert cdf.quantile(0.2) == 3.0
-    assert cdf.quantile(1.0) == 3.0
-
-
-def test_quantile_inverts_cdf_at_samples():
+def test_quantile_hits_the_order_statistics():
+    # the i-th order statistic sits at p = i/n; in between, the linear interpolant
     rng = np.random.default_rng(0)
     vals = rng.uniform(-5.0, 5.0, size=37)
-    cdf = EmpiricalCdf(vals)
-    for x in vals:
-        assert abs(cdf.quantile(cdf(x)) - x) <= 1e-9
+    ordered = np.sort(vals)
+    for i, x in enumerate(ordered, start=1):
+        assert abs(percentile(vals, i / vals.size) - x) <= 1e-9
+    p = 2.5 / vals.size
+    assert percentile(vals, p) == pytest.approx(0.5 * (ordered[1] + ordered[2]))
 
 
 def test_quantile_monotone_and_clamped():
-    cdf = EmpiricalCdf([1.0, 4.0, 9.0, 16.0])
+    vals = [16.0, 1.0, 9.0, 4.0]
     grid = np.linspace(0.0, 1.0, 101)
-    q = [cdf.quantile(p) for p in grid]
+    q = [percentile(vals, p) for p in grid]
     assert all(b >= a for a, b in zip(q, q[1:]))
     assert q[0] == 1.0 and q[-1] == 16.0
+    # below 1/n the quantile clamps to the smallest sample
+    assert percentile(vals, 0.2) == 1.0
 
 
 def test_median_and_percentile():

@@ -412,3 +412,31 @@ def test_export_load_round_trip(tmp_path):
         json.dump(header, fh)
     with pytest.raises(ValueError, match="rx_az beam indices"):
         load_tensor(prefix)
+
+
+def test_tensor_file_is_interleaved_float64_in_c_order(tmp_path):
+    books = small_books()
+    ofdm = OfdmConfig(num_subcarriers=8)
+    tensor = synthesize_tensor(_one_path_scene(), 0, books, ofdm, noise_seed=2)
+    # a transposed view has a different memory layout but must write the same bytes
+    tensor.data = np.ascontiguousarray(tensor.data.T).T
+    bin_path, _ = export_tensor(tensor, str(tmp_path / "rx0"))
+    flat = np.fromfile(bin_path, dtype=np.float64)
+    expected = np.empty(2 * tensor.data.size)
+    expected[0::2] = tensor.data.real.ravel(order="C")
+    expected[1::2] = tensor.data.imag.ravel(order="C")
+    np.testing.assert_array_equal(flat, expected)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_load_rejects_a_payload_off_by_one_float(tmp_path, extra):
+    tensor = synthesize_tensor(
+        _one_path_scene(), 0, small_books(), OfdmConfig(num_subcarriers=8), noise_seed=2
+    )
+    prefix = str(tmp_path / "rx0")
+    bin_path, _ = export_tensor(tensor, prefix)
+    flat = np.fromfile(bin_path, dtype=np.float64)
+    flat = np.append(flat, 1.0) if extra > 0 else flat[:-1]
+    flat.tofile(bin_path)
+    with pytest.raises(ValueError, match="payload size"):
+        load_tensor(prefix)
