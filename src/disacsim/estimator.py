@@ -6,13 +6,15 @@ terms, one per propagation path. Estimation proceeds in three steps:
 1. model order: count singular values of the mode unfoldings that clear
    a noise-floor threshold derived from the injected noise power;
 2. canonical polyadic decomposition by alternating least squares with
-   random restarts;
+   random restarts; each sweep takes its MTTKRPs from a dimension tree
+   (two passes over the tensor) and its residual from the norm identity,
+   or directly near an exact fit (see cpd_als);
 3. per-path parameter extraction from the factor columns: each spatial
    column is matched against the beamspace signature of a phase ramp
    (dense grid plus golden-section refinement), the two per-array ramps
    are jointly inverted into angles, and the subcarrier column yields the
-   delay through its shift invariance. Gains are re-fit linearly against
-   the reconstructed rank-1 signatures.
+   delay through its shift invariance. Gains are re-fit by least squares
+   against the rank-1 signatures of the extracted parameters.
 """
 
 import logging
@@ -75,13 +77,17 @@ class CpFactors:
     its largest-magnitude entry rotated to the positive real axis, so the
     decomposition is unique up to column permutation when the underlying
     model is. residual_history is the per-sweep absolute residual of the
-    winning restart.
+    winning restart, sweeps its length, and converged tells whether that
+    restart stopped on rel_tol or an exact fit (True) or at max_sweeps
+    (False). None of these enter a canonical record.
     """
 
     factors: list[np.ndarray]
     gains: np.ndarray
     residual: float
     residual_history: list[float] = field(default_factory=list)
+    sweeps: int = 0
+    converged: bool = False
 
     @property
     def rank(self) -> int:
@@ -121,6 +127,41 @@ def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+# the small operands are made contiguous so that matmul hands each product to BLAS
+def _contract_last(y: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """sum_n y[l, x, n] conj(factor[n, l]): contracts (L, X, n) to (L, X)."""
+    return np.matmul(y, np.ascontiguousarray(factor.T.conj())[:, :, None])[:, :, 0]
+
+
+def _contract_lead(kr_conj: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_x kr_conj[x, l] y[l, x, n]: contracts (L, X, n) to the (n, L) MTTKRP."""
+    return np.matmul(np.ascontiguousarray(kr_conj.T)[:, None, :], y)[:, 0, :].T
+
+
+def _update_mode(factors: list[np.ndarray], grams: list[np.ndarray], mode: int, v: np.ndarray):
+    """Update one mode from its MTTKRP ``v``; returns its Gram product."""
+    rank = v.shape[1]
+    g = np.ones((rank, rank), dtype=complex)
+    for m in range(len(factors)):
+        if m != mode:
+            g *= grams[m]
+    g_cond = np.linalg.cond(g)
+    if not np.isfinite(g_cond) or g_cond > COND_LIMIT:
+        raise RankDeficiencyError(
+            f"mode-{mode} least-squares system is rank deficient "
+            f"(condition {g_cond:.2e}); the tensor likely has rank < {rank}"
+        )
+    # normal equations: new = V conj(G)^-1, and G is Hermitian
+    new = np.linalg.solve(g, v.T).T
+    if mode != len(factors) - 1:
+        norms = np.linalg.norm(new, axis=0)
+        norms[norms == 0.0] = 1.0
+        new = new / norms
+    factors[mode] = new
+    grams[mode] = new.conj().T @ new
+    return g
+
+
 def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     """Rank-``rank`` canonical polyadic decomposition of an order-5 tensor.
 
@@ -130,17 +171,34 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     non-increasing across sweeps, which exact per-mode least squares
     guarantees up to roundoff.
 
+    Each sweep updates the modes a, b, c, d, e (rx_el, rx_az, tx_el, tx_az,
+    subcarrier) in turn from their MTTKRPs (tensor times the Khatri-Rao
+    product of the other, conjugated factors), computed along a dimension
+    tree with two passes over the tensor. The first pass is one GEMM,
+    Y_e = T_(abcd x e) conj(E); contracting d and then c out of it gives
+    Y_de and Y_cde. Modes a and b take their MTTKRPs from Y_cde, mode c
+    from Y_de with the new A and B, mode d from Y_e with the new A, B and
+    C. The second pass is mode e's GEMM, T_(abcd x e)^T conj(KR(A, B, C, D))
+    over the updated factors. The residual then follows from the norm
+    identity ||T - M||^2 = ||T||^2 - 2 Re sum(V_e * conj(E))
+    + sum(G_not_e * E^H E), with V_e mode e's MTTKRP and G_not_e the
+    Hadamard product of the other modes' Grams, both already at hand.
+    The identity cancels catastrophically near an exact fit, so when it
+    gives res^2 <= 1e-6 ||T||^2 the residual is computed directly from
+    T - KR(A, B, C, D) E^T instead.
+
     Raises
     ------
     ValueError
-        If rank < 1 or exceeds any unfolding's column budget.
+        If the tensor is not of order 5 or rank < 1.
     RankDeficiencyError
         If a mode's least-squares system becomes numerically singular.
     """
     if opts is None:
         opts = AlsOptions()
     data = _tensor_data(tensor)
-    order = data.ndim
+    if data.ndim != 5:
+        raise ValueError(f"expected an order-5 tensor, got order {data.ndim}")
     if rank < 1:
         raise ValueError("rank must be at least 1")
     norm_t = float(np.linalg.norm(data))
@@ -156,12 +214,13 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
             gains=np.zeros(rank, dtype=complex),
             residual=0.0,
             residual_history=[0.0],
+            sweeps=0,
+            converged=True,
         )
 
-    unfoldings = [_unfold(data, n) for n in range(order)]
-    # the residual's contraction order depends only on the shapes: plan it once
-    shapes = [np.empty((n, rank), dtype=complex) for n in data.shape]
-    model_path = np.einsum_path("al,bl,cl,dl,el->abcde", *shapes, optimize=True)[0]
+    n_a, n_b, n_c, n_d, n_e = data.shape
+    t_mat = data.reshape(-1, n_e)
+    norm_sq = norm_t * norm_t
 
     best: CpFactors | None = None
     for restart in range(opts.restarts):
@@ -175,34 +234,34 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
 
         history: list[float] = []
         prev = np.inf
+        converged = False
         for sweep in range(opts.max_sweeps):
-            for mode in range(order):
-                # conj(a * b) == conj(a) * conj(b) bit for bit: conjugate the small factors
-                kr = _khatri_rao([factors[m].conj() for m in range(order) if m != mode])
-                v = unfoldings[mode] @ kr
-                g = np.ones((rank, rank), dtype=complex)
-                for m in range(order):
-                    if m != mode:
-                        g *= grams[m]
-                g_cond = np.linalg.cond(g)
-                if not np.isfinite(g_cond) or g_cond > COND_LIMIT:
-                    raise RankDeficiencyError(
-                        f"mode-{mode} least-squares system is rank deficient "
-                        f"(condition {g_cond:.2e}); the tensor likely has rank < {rank}"
-                    )
-                # normal equations: new = V conj(G)^-1, and G is Hermitian
-                new = np.linalg.solve(g, v.T).T
-                if mode != order - 1:
-                    norms = np.linalg.norm(new, axis=0)
-                    norms[norms == 0.0] = 1.0
-                    new = new / norms
-                factors[mode] = new
-                grams[mode] = new.conj().T @ new
+            # first pass: contract e, then d, then c out of the tensor
+            y_e = (factors[4].T.conj() @ t_mat.T).reshape(rank, n_a * n_b * n_c, n_d)
+            y_de = _contract_last(y_e, factors[3]).reshape(rank, n_a * n_b, n_c)
+            y_cde = _contract_last(y_de, factors[2]).reshape(rank, n_a, n_b)
+            _update_mode(factors, grams, 0, _contract_last(y_cde, factors[1]).T)
+            kr = factors[0].conj()
+            _update_mode(factors, grams, 1, _contract_lead(kr, y_cde))
+            kr = _khatri_rao([kr, factors[1].conj()])
+            _update_mode(factors, grams, 2, _contract_lead(kr, y_de))
+            kr = _khatri_rao([kr, factors[2].conj()])
+            _update_mode(factors, grams, 3, _contract_lead(kr, y_e))
+            # second pass: mode e over the updated factors
+            kr = _khatri_rao([kr, factors[3].conj()])
+            v_e = t_mat.T @ kr
+            g_e = _update_mode(factors, grams, 4, v_e)
 
-            # direct residual: immune to the cancellation that plagues the
-            # norm-identity shortcut near exact fits
-            model = np.einsum("al,bl,cl,dl,el->abcde", *factors, optimize=model_path)
-            res = float(np.linalg.norm(data - model))
+            res_sq = (
+                norm_sq
+                - 2.0 * float(np.sum(v_e * factors[4].conj()).real)
+                + float(np.sum(g_e * grams[4]).real)
+            )
+            if res_sq > 1.0e-6 * norm_sq:
+                res = float(np.sqrt(res_sq))
+            else:
+                # direct residual: the identity's cancellation is too large here
+                res = float(np.linalg.norm(t_mat - kr.conj() @ factors[4].T))
             history.append(res)
             if res > prev * (1.0 + 1.0e-9) + 1.0e-12 * norm_t:
                 raise AlsMonotonicityError(
@@ -210,10 +269,12 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
                 )
             if prev - res <= opts.rel_tol * norm_t or res <= 1.0e-13 * norm_t:
                 prev = res
+                converged = True
                 break
             prev = res
 
         candidate = _finalize(factors, prev, history)
+        candidate.sweeps, candidate.converged = len(history), converged
         if best is None or candidate.residual < best.residual:
             best = candidate
     return best
@@ -402,15 +463,21 @@ def estimate_paths(
         )
         raw.append((aoa, aod, tau, low_conf))
 
-    # re-fit gains against the signatures of the extracted parameters
-    columns = []
+    # re-fit gains against the signatures of the extracted parameters; the
+    # design columns are rank-1, so its Gram is the Hadamard product of the
+    # per-mode Grams and its right-hand side a contraction of the tensor
+    sigs = []
     for aoa, aod, tau, _ in raw:
         probe = PathRecord(gain=1.0, delay=tau, aoa=aoa, aod=aod, label=LABEL_LOS)
-        fac = path_beam_factors(probe, books, tensor.ofdm)
-        rank1 = np.einsum("a,b,c,d,e->abcde", *fac, optimize=True)
-        columns.append(rank1.ravel())
-    design = np.stack(columns, axis=1)
-    gains, *_ = np.linalg.lstsq(design, tensor.data.ravel(), rcond=None)
+        sigs.append(path_beam_factors(probe, books, tensor.ofdm))
+    mats = [np.stack([fac[i] for fac in sigs], axis=1) for i in range(5)]
+    gram = np.ones((cp.rank, cp.rank), dtype=complex)
+    for m in mats:
+        gram *= m.conj().T @ m
+    rhs = mats[4].T.conj() @ tensor.data.reshape(-1, mats[4].shape[0]).T
+    for m in mats[3::-1]:
+        rhs = _contract_last(rhs.reshape(cp.rank, -1, m.shape[0]), m)
+    gains, *_ = np.linalg.lstsq(gram, rhs[:, 0], rcond=None)
 
     paths = [
         EstimatedPath(

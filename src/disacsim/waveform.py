@@ -408,15 +408,28 @@ def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
     return bin_path, json_path
 
 
+class _Header(dict):
+    """A JSON object of a tensor header: a missing key is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"tensor header lacks key {key!r}")
+
+
 def load_tensor(prefix: str) -> MeasurementTensor:
-    """Read a tensor written by :func:`export_tensor` (pass the same prefix)."""
+    """Read a tensor written by :func:`export_tensor` (pass the same prefix).
+
+    A header that lacks a key, or whose shape is not a list of positive
+    integers, is a ValueError naming the key.
+    """
     if prefix.endswith(".json") or prefix.endswith(".bin"):
         prefix = prefix.rsplit(".", 1)[0]
     with open(prefix + ".json") as fh:
-        header = json.load(fh)
+        header = json.load(fh, object_hook=_Header)
     if header.get("format") != "disacsim-tensor/1":
         raise ValueError(f"unrecognized tensor format {header.get('format')!r}")
-    shape = tuple(header["shape"])
+    shape = header["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n > 0 for n in shape):
+        raise ValueError(f"tensor header shape must be a list of positive integers, got {shape!r}")
     bin_path = prefix + ".bin"
     if os.path.getsize(bin_path) != np.dtype(np.complex128).itemsize * int(np.prod(shape)):
         raise ValueError("binary payload size does not match the header shape")

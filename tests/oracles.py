@@ -113,6 +113,58 @@ def random_well_conditioned_system(rng, rows, cols, cond_max=50.0):
 
 
 # ---------------------------------------------------------------------------
+# CP decomposition by plain alternating least squares
+# ---------------------------------------------------------------------------
+
+
+def reference_als(data, rank, seed, max_sweeps, rel_tol):
+    """One ALS restart the textbook way: full Khatri-Rao products, dense residual.
+
+    Every mode is updated from its unfolding times the full (conjugated)
+    Khatri-Rao product of the other factors, and the residual is taken
+    from an explicit reconstruction each sweep. Starts from the same
+    Philox draw as ``cpd_als`` restart 0 with this seed, normalises the
+    columns of every mode but the last, and stops on the same rule.
+    Returns (raw factors, residual history).
+    """
+    data = np.asarray(data, dtype=complex)
+    order = data.ndim
+    rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
+    factors = [
+        (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
+        for n in data.shape
+    ]
+    norm_t = np.linalg.norm(data)
+    history = []
+    prev = np.inf
+    for _ in range(max_sweeps):
+        for mode in range(order):
+            others = [factors[m] for m in range(order) if m != mode]
+            kr = others[0]
+            for f in others[1:]:
+                kr = (kr[:, None, :] * f[None, :, :]).reshape(-1, rank)
+            unfolded = np.moveaxis(data, mode, 0).reshape(data.shape[mode], -1)
+            gram = kr.T @ kr.conj()
+            new = np.linalg.solve(gram.T, (unfolded @ kr.conj()).T).T
+            if mode != order - 1:
+                new = new / np.linalg.norm(new, axis=0)
+            factors[mode] = new
+        model = np.zeros_like(data)
+        for l in range(rank):
+            term = factors[0][:, l]
+            for f in factors[1:]:
+                term = np.multiply.outer(term, f[:, l])
+            model += term
+        res = float(np.linalg.norm(data - model))
+        history.append(res)
+        stop = prev - res <= rel_tol * norm_t or res <= 1.0e-13 * norm_t
+        prev = res
+        if stop:
+            break
+    return factors, history
+
+
+# ---------------------------------------------------------------------------
 # Exact measurement construction from ground-truth geometry
 # ---------------------------------------------------------------------------
 

@@ -219,3 +219,28 @@ def test_estimate_defaults_to_the_stock_als_options(monkeypatch, capsys):
     assert opts.max_sweeps == AlsOptions().max_sweeps
     assert opts == AlsOptions(seed=0)
     assert seen["rank"] == "auto"
+
+
+def edit_header(prefix: str, edit) -> None:
+    with open(prefix + ".json") as fh:
+        header = json.load(fh)
+    edit(header)
+    with open(prefix + ".json", "w") as fh:
+        json.dump(header, fh)
+
+
+def test_estimate_rejects_a_header_without_a_key(tmp_path, capsys):
+    prefix = small_tensor(tmp_path)
+    edit_header(prefix, lambda header: header["ofdm"].pop("tx_power_dbm"))
+    assert main(["estimate", "--tensor", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read tensor") and "'tx_power_dbm'" in err
+
+
+@pytest.mark.parametrize("shape", ["abc", [8, "8", 4, 4, 32], [0, 4, 3, 4, 32]])
+def test_estimate_rejects_a_header_shape_that_is_not_sizes(tmp_path, capsys, shape):
+    prefix = small_tensor(tmp_path)
+    edit_header(prefix, lambda header: header.update(shape=shape))
+    assert main(["estimate", "--tensor", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read tensor") and "shape" in err

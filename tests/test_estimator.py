@@ -26,6 +26,7 @@ from disacsim.waveform import (
     phase_ramp,
     tensor_from_paths,
 )
+from oracles import reference_als
 
 RX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
 TX_GEOM = UpaGeometry(8, 8, 0.01, 0.02)
@@ -172,6 +173,65 @@ def test_cpd_four_components_at_30db():
             )
     ri, ci = linear_sum_assignment(-score)
     assert score[ri, ci].min() > 0.99
+
+
+def noisy_rank_three(snr_db=20.0):
+    gains = np.array([1.0, 0.8, 0.9]) * np.exp(2j * np.pi * np.array([0.2, 0.7, 0.4]))
+    _, sig = planted_tensor(3, gains)
+    noisy, _ = planted_tensor(3, gains, noise_var=snr_noise_var(sig, snr_db), noise_seed=2)
+    return noisy
+
+
+def test_cpd_reports_how_it_stopped():
+    exact, _ = planted_tensor(1, [1.3 - 0.4j])
+    cp = cpd_als(exact, 1, AlsOptions(restarts=1, seed=0))
+    assert cp.converged is True
+    assert cp.sweeps == len(cp.residual_history) < AlsOptions().max_sweeps
+    capped = cpd_als(noisy_rank_three(), 3, AlsOptions(max_sweeps=2, restarts=2, seed=0))
+    assert capped.converged is False and capped.sweeps == 2
+    books = make_books()
+    zero = np.zeros(books.beam_shape + (32,), dtype=complex)
+    cp = cpd_als(zero, 2)
+    assert cp.sweeps == 0 and cp.converged is True
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cpd_matches_the_reference_als(seed):
+    # these starts end both at the noise floor (4-10 sweeps) and in
+    # swamps near 0.58 ||T|| (up to 47 sweeps)
+    noisy = noisy_rank_three()
+    opts = AlsOptions(restarts=1, seed=seed)
+    cp = cpd_als(noisy, 3, opts)
+    factors, history = reference_als(noisy.data, 3, seed, opts.max_sweeps, opts.rel_tol)
+    assert cp.sweeps == len(history)
+    np.testing.assert_allclose(cp.residual_history, history, rtol=1e-9, atol=0.0)
+    for got, ref in zip(cp.factors, factors):
+        for l in range(3):
+            col = ref[:, l] / np.linalg.norm(ref[:, l])
+            turn = np.vdot(col, got[:, l])
+            assert np.max(np.abs(got[:, l] - col * turn / abs(turn))) <= 1e-8
+
+
+def test_cpd_norm_identity_residual_is_the_direct_residual():
+    # a fit far from exact takes its residual from the norm identity
+    noisy = noisy_rank_three()
+    norm = np.linalg.norm(noisy.data)
+    for sweeps in (2, 300):
+        cp = cpd_als(noisy, 3, AlsOptions(max_sweeps=sweeps, restarts=1, seed=0))
+        assert cp.residual > 1e-3 * norm
+        direct = np.linalg.norm(noisy.data - cp.reconstruct())
+        assert abs(cp.residual - direct) <= 1e-9 * norm
+
+
+def test_cpd_exact_fit_takes_the_direct_residual():
+    # cancellation limits the norm identity to about sqrt(eps) ||T|| ~ 1e-8 ||T||;
+    # a residual far below that can only come from the direct computation
+    exact, _ = planted_tensor(1, [0.7 + 0.9j])
+    norm = np.linalg.norm(exact.data)
+    cp = cpd_als(exact, 1, AlsOptions(restarts=1, seed=3))
+    assert cp.converged
+    assert cp.residual <= 1e-10 * norm
+    assert np.linalg.norm(exact.data - cp.reconstruct()) <= 1e-10 * norm
 
 
 def test_canonical_phase():
