@@ -3,12 +3,15 @@
 The measurement tensor of a receiver is (noise aside) a sum of L rank-1
 terms, one per propagation path. Estimation proceeds in three steps:
 
-1. model order: count singular values of the mode unfoldings that clear
-   a noise-floor threshold derived from the injected noise power;
+1. model order: count singular values of the mode unfoldings (square
+   roots of the eigenvalues of the mode Grams) that clear a noise-floor
+   threshold derived from the injected noise power;
 2. canonical polyadic decomposition by alternating least squares with
-   random restarts; each sweep takes its MTTKRPs from a dimension tree
-   (two passes over the tensor) and its residual from the norm identity,
-   or directly near an exact fit (see cpd_als);
+   random restarts, stacked on one leading axis and run together; each
+   sweep takes the MTTKRPs of all restarts from a dimension tree (two
+   GEMMs over the tensor), checks each Gram's condition from its
+   eigenvalues, and takes its residual from the norm identity, or
+   directly near an exact fit (see cpd_als);
 3. per-path parameter extraction from the factor columns: each spatial
    column is matched against the beamspace signature of a phase ramp
    (dense grid plus golden-section refinement), the two per-array ramps
@@ -43,7 +46,9 @@ LOW_CONFIDENCE_CORR = 0.5
 DEFAULT_MAX_RANK = 12  # cap on the automatically selected model order
 COND_LIMIT = 1.0e12  # ALS Gram matrices worse conditioned than this are rank deficient
 NOISE_MARGIN = 1.4  # see select_model_order
-REL_FLOOR = 1.0e-8
+# singular values below this share of the largest are roundoff: the Gram
+# route of select_model_order resolves them only down to about sqrt(eps) ~ 1e-8
+REL_FLOOR = 1.0e-6
 ANGLE_GRID_POINTS = 2048  # coarse ramp scan of extract_angle
 
 
@@ -106,59 +111,68 @@ def _pivot_rotation(column: np.ndarray) -> complex:
     return np.conj(pivot) / abs(pivot) if pivot != 0 else 1.0
 
 
-def canonical_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a column so its largest-magnitude entry is real positive."""
-    return column * _pivot_rotation(column)
-
-
 def _tensor_data(tensor) -> np.ndarray:
     return tensor.data if isinstance(tensor, MeasurementTensor) else np.asarray(tensor)
 
 
-def _unfold(data: np.ndarray, mode: int) -> np.ndarray:
-    return np.moveaxis(data, mode, 0).reshape(data.shape[mode], -1)
-
-
 def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
-    """Column-wise Kronecker product, first matrix varying slowest."""
+    """Column-wise Kronecker product, first matrix varying slowest.
+
+    Leading axes broadcast: (..., n_i, L) factors give (..., prod n_i, L).
+    """
     out = mats[0]
     for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
+        out = out[..., :, None, :] * m[..., None, :, :]
+        out = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
     return out
 
 
-# the small operands are made contiguous so that matmul hands each product to BLAS
+# the small operands are made contiguous so that matmul hands each product to
+# BLAS; leading axes (the restarts of cpd_als) broadcast
 def _contract_last(y: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """sum_n y[l, x, n] conj(factor[n, l]): contracts (L, X, n) to (L, X)."""
-    return np.matmul(y, np.ascontiguousarray(factor.T.conj())[:, :, None])[:, :, 0]
+    """sum_n y[..., l, x, n] conj(factor[..., n, l]): contracts (L, X, n) to (L, X)."""
+    small = np.ascontiguousarray(factor.swapaxes(-1, -2).conj())
+    return np.matmul(y, small[..., None])[..., 0]
 
 
 def _contract_lead(kr_conj: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_x kr_conj[x, l] y[l, x, n]: contracts (L, X, n) to the (n, L) MTTKRP."""
-    return np.matmul(np.ascontiguousarray(kr_conj.T)[:, None, :], y)[:, 0, :].T
+    """sum_x kr_conj[..., x, l] y[..., l, x, n]: contracts (L, X, n) to the (n, L) MTTKRP."""
+    small = np.ascontiguousarray(kr_conj.swapaxes(-1, -2))
+    return np.matmul(small[..., None, :], y)[..., 0, :].swapaxes(-1, -2)
 
 
-def _update_mode(factors: list[np.ndarray], grams: list[np.ndarray], mode: int, v: np.ndarray):
-    """Update one mode from its MTTKRP ``v``; returns its Gram product."""
-    rank = v.shape[1]
-    g = np.ones((rank, rank), dtype=complex)
+def _update_mode(factors, grams, mode: int, v: np.ndarray, restarts: np.ndarray):
+    """Update one mode of every stacked restart from its MTTKRP ``v`` (K, n, L).
+
+    factors[m] is (K, n_m, L) and grams[m] (K, L, L); restarts names the
+    restart of each stack entry. Returns the (K, L, L) Gram products.
+    """
+    rank = v.shape[-1]
+    g = np.ones((len(v), rank, rank), dtype=complex)
     for m in range(len(factors)):
         if m != mode:
             g *= grams[m]
-    g_cond = np.linalg.cond(g)
-    if not np.isfinite(g_cond) or g_cond > COND_LIMIT:
+    # g is Hermitian, so its 2-norm condition is lambda_max / lambda_min; a
+    # non-finite g is zeroed so that it reads as singular
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    lam = np.linalg.eigvalsh(np.where(finite[:, None, None], g, 0.0))
+    lo, hi = lam[:, 0], lam[:, -1]
+    g_cond = np.divide(hi, lo, out=np.full_like(lo, np.inf), where=lo > 0.0)
+    bad = g_cond > COND_LIMIT
+    if bad.any():
+        k = int(np.argmax(bad))
         raise RankDeficiencyError(
-            f"mode-{mode} least-squares system is rank deficient "
-            f"(condition {g_cond:.2e}); the tensor likely has rank < {rank}"
+            f"restart {restarts[k]}: mode-{mode} least-squares system is rank deficient "
+            f"(condition {g_cond[k]:.2e}); the tensor likely has rank < {rank}"
         )
     # normal equations: new = V conj(G)^-1, and G is Hermitian
-    new = np.linalg.solve(g, v.T).T
+    new = np.linalg.solve(g, v.swapaxes(-1, -2)).swapaxes(-1, -2)
     if mode != len(factors) - 1:
-        norms = np.linalg.norm(new, axis=0)
+        norms = np.linalg.norm(new, axis=-2, keepdims=True)
         norms[norms == 0.0] = 1.0
         new = new / norms
     factors[mode] = new
-    grams[mode] = new.conj().T @ new
+    grams[mode] = new.swapaxes(-1, -2).conj() @ new
     return g
 
 
@@ -167,32 +181,43 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
 
     Alternating least squares from random complex Gaussian starts. Each
     restart r uses an independent generator keyed (seed + r); the restart
-    with the smallest final residual wins. The residual is checked to be
-    non-increasing across sweeps, which exact per-mode least squares
-    guarantees up to roundoff.
+    with the smallest final residual wins, ties going to the lowest r. The
+    residual of each restart is checked to be non-increasing across sweeps,
+    which exact per-mode least squares guarantees up to roundoff.
+
+    All restarts run together: every factor is stacked as (K, n_i, L) and
+    every Gram as (K, L, L) over the K restarts still running. A restart
+    that meets its stopping rule is recorded and leaves the stack; the
+    others go on.
 
     Each sweep updates the modes a, b, c, d, e (rx_el, rx_az, tx_el, tx_az,
     subcarrier) in turn from their MTTKRPs (tensor times the Khatri-Rao
     product of the other, conjugated factors), computed along a dimension
-    tree with two passes over the tensor. The first pass is one GEMM,
-    Y_e = T_(abcd x e) conj(E); contracting d and then c out of it gives
-    Y_de and Y_cde. Modes a and b take their MTTKRPs from Y_cde, mode c
-    from Y_de with the new A and B, mode d from Y_e with the new A, B and
-    C. The second pass is mode e's GEMM, T_(abcd x e)^T conj(KR(A, B, C, D))
-    over the updated factors. The residual then follows from the norm
-    identity ||T - M||^2 = ||T||^2 - 2 Re sum(V_e * conj(E))
-    + sum(G_not_e * E^H E), with V_e mode e's MTTKRP and G_not_e the
-    Hadamard product of the other modes' Grams, both already at hand.
-    The identity cancels catastrophically near an exact fit, so when it
-    gives res^2 <= 1e-6 ||T||^2 the residual is computed directly from
-    T - KR(A, B, C, D) E^T instead.
+    tree with two passes over the tensor, each one GEMM for all restarts.
+    The first pass is Y_e = conj(E_all)^T T_(abcd x e)^T, with E_all the
+    restarts' E factors side by side (n_e x K L); contracting d and then c
+    out of it gives Y_de and Y_cde. Modes a and b take their MTTKRPs from
+    Y_cde, mode c from Y_de with the new A and B, mode d from Y_e with the
+    new A, B and C. The second pass is mode e's GEMM,
+    T_(abcd x e)^T conj(KR_all), with KR_all the restarts' KR(A, B, C, D)
+    side by side. Each mode's Gram product is checked for conditioning
+    through its eigenvalues (eigvalsh, lambda_max / lambda_min: the 2-norm
+    condition, as the Gram is Hermitian) before it is solved.
+
+    The residual then follows from the norm identity ||T - M||^2 = ||T||^2
+    - 2 Re sum(V_e * conj(E)) + sum(G_not_e * E^H E), with V_e mode e's
+    MTTKRP and G_not_e the Hadamard product of the other modes' Grams,
+    both already at hand. The identity cancels catastrophically near an
+    exact fit, so when it gives res^2 <= 1e-6 ||T||^2 the residual is
+    computed directly from T - KR(A, B, C, D) E^T instead.
 
     Raises
     ------
     ValueError
         If the tensor is not of order 5 or rank < 1.
     RankDeficiencyError
-        If a mode's least-squares system becomes numerically singular.
+        If a mode's least-squares system becomes numerically singular in
+        any restart; the message names the restart.
     """
     if opts is None:
         opts = AlsOptions()
@@ -222,62 +247,81 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     t_mat = data.reshape(-1, n_e)
     norm_sq = norm_t * norm_t
 
-    best: CpFactors | None = None
-    for restart in range(opts.restarts):
-        rng = np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
-        factors = [
-            (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
-            / np.sqrt(2.0)
-            for n in data.shape
-        ]
-        grams = [f.conj().T @ f for f in factors]
+    rngs = [
+        np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
+        for restart in range(opts.restarts)
+    ]
+    factors = [
+        np.stack([
+            (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
+            for rng in rngs
+        ])
+        for n in data.shape
+    ]
+    grams = [f.swapaxes(-1, -2).conj() @ f for f in factors]
+    running = np.arange(opts.restarts)
+    histories: list[list[float]] = [[] for _ in running]
+    done: dict[int, CpFactors] = {}
 
-        history: list[float] = []
-        prev = np.inf
-        converged = False
-        for sweep in range(opts.max_sweeps):
-            # first pass: contract e, then d, then c out of the tensor
-            y_e = (factors[4].T.conj() @ t_mat.T).reshape(rank, n_a * n_b * n_c, n_d)
-            y_de = _contract_last(y_e, factors[3]).reshape(rank, n_a * n_b, n_c)
-            y_cde = _contract_last(y_de, factors[2]).reshape(rank, n_a, n_b)
-            _update_mode(factors, grams, 0, _contract_last(y_cde, factors[1]).T)
-            kr = factors[0].conj()
-            _update_mode(factors, grams, 1, _contract_lead(kr, y_cde))
-            kr = _khatri_rao([kr, factors[1].conj()])
-            _update_mode(factors, grams, 2, _contract_lead(kr, y_de))
-            kr = _khatri_rao([kr, factors[2].conj()])
-            _update_mode(factors, grams, 3, _contract_lead(kr, y_e))
-            # second pass: mode e over the updated factors
-            kr = _khatri_rao([kr, factors[3].conj()])
-            v_e = t_mat.T @ kr
-            g_e = _update_mode(factors, grams, 4, v_e)
+    def record(k: int, converged: bool):
+        r = int(running[k])
+        cp = _finalize([f[k] for f in factors], histories[r][-1], histories[r])
+        cp.sweeps, cp.converged = len(histories[r]), converged
+        done[r] = cp
 
+    for sweep in range(opts.max_sweeps):
+        n_run = len(running)
+        # first pass: contract e, then d, then c out of the tensor
+        e_all = factors[4].transpose(1, 0, 2).reshape(n_e, -1)
+        y_e = (e_all.T.conj() @ t_mat.T).reshape(n_run, rank, n_a * n_b * n_c, n_d)
+        y_de = _contract_last(y_e, factors[3]).reshape(n_run, rank, n_a * n_b, n_c)
+        y_cde = _contract_last(y_de, factors[2]).reshape(n_run, rank, n_a, n_b)
+        v_a = _contract_last(y_cde, factors[1]).swapaxes(-1, -2)
+        _update_mode(factors, grams, 0, v_a, running)
+        kr = factors[0].conj()
+        _update_mode(factors, grams, 1, _contract_lead(kr, y_cde), running)
+        kr = _khatri_rao([kr, factors[1].conj()])
+        _update_mode(factors, grams, 2, _contract_lead(kr, y_de), running)
+        kr = _khatri_rao([kr, factors[2].conj()])
+        _update_mode(factors, grams, 3, _contract_lead(kr, y_e), running)
+        # second pass: mode e over the updated factors
+        kr = _khatri_rao([kr, factors[3].conj()])
+        kr_all = kr.transpose(1, 0, 2).reshape(kr.shape[1], -1)
+        v_e = (t_mat.T @ kr_all).reshape(n_e, n_run, rank).transpose(1, 0, 2)
+        g_e = _update_mode(factors, grams, 4, v_e, running)
+
+        keep = np.ones(n_run, dtype=bool)
+        for k, r in enumerate(running):
+            history = histories[r]
+            prev = history[-1] if history else np.inf
             res_sq = (
                 norm_sq
-                - 2.0 * float(np.sum(v_e * factors[4].conj()).real)
-                + float(np.sum(g_e * grams[4]).real)
+                - 2.0 * float(np.sum(v_e[k] * factors[4][k].conj()).real)
+                + float(np.sum(g_e[k] * grams[4][k]).real)
             )
             if res_sq > 1.0e-6 * norm_sq:
                 res = float(np.sqrt(res_sq))
             else:
                 # direct residual: the identity's cancellation is too large here
-                res = float(np.linalg.norm(t_mat - kr.conj() @ factors[4].T))
+                res = float(np.linalg.norm(t_mat - kr[k].conj() @ factors[4][k].T))
             history.append(res)
             if res > prev * (1.0 + 1.0e-9) + 1.0e-12 * norm_t:
                 raise AlsMonotonicityError(
-                    f"residual rose from {prev:.6e} to {res:.6e} at sweep {sweep}"
+                    f"restart {r}: residual rose from {prev:.6e} to {res:.6e} at sweep {sweep}"
                 )
             if prev - res <= opts.rel_tol * norm_t or res <= 1.0e-13 * norm_t:
-                prev = res
-                converged = True
+                record(k, converged=True)
+                keep[k] = False
+        if not keep.all():
+            running = running[keep]
+            factors = [f[keep] for f in factors]
+            grams = [g[keep] for g in grams]
+            if not running.size:
                 break
-            prev = res
-
-        candidate = _finalize(factors, prev, history)
-        candidate.sweeps, candidate.converged = len(history), converged
-        if best is None or candidate.residual < best.residual:
-            best = candidate
-    return best
+    for k in range(running.size):
+        record(k, converged=False)
+    # min keeps the first of equal residuals: ties go to the lowest restart
+    return min((done[r] for r in range(opts.restarts)), key=lambda cp: cp.residual)
 
 
 def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) -> CpFactors:
@@ -303,6 +347,17 @@ def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) 
 # ---------------------------------------------------------------------------
 
 
+def _mode_gram(data: np.ndarray, conj_data: np.ndarray, mode: int) -> np.ndarray:
+    """unf unf^H of a mode unfolding, contracted from views of the tensor."""
+    m = data.shape[mode]
+    if mode == data.ndim - 1:
+        # one product: the (p, m, 1) slices below would be p outer products
+        return data.reshape(-1, m).T @ conj_data.reshape(-1, m)
+    x = data.reshape(int(np.prod(data.shape[:mode])), m, -1)
+    cx = conj_data.reshape(x.shape)
+    return np.matmul(x, cx.swapaxes(-1, -2)).sum(axis=0)
+
+
 def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RANK) -> int:
     """Number of rank-1 components distinguishable from the noise floor.
 
@@ -312,17 +367,20 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
     evenly over the tensor's entries (see expected_noise_energy). Singular
     values above NOISE_MARGIN times that edge (and above REL_FLOOR times
     the largest, for the noiseless case) count as signal; the answer is
-    the largest count over modes, capped at max_rank.
+    the largest count over modes, capped at max_rank. The singular values
+    are the square roots of the eigenvalues of the m x m Gram unf unf^H,
+    which is contracted from the tensor without copying the unfolding.
     """
     data = tensor.data
     var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
+    conj_data = data.conj()
     best = 0
     for mode in range(data.ndim):
-        unf = _unfold(data, mode)
-        m, n = unf.shape
-        sv = np.linalg.svd(unf, compute_uv=False)
+        m = data.shape[mode]
+        n = data.size // m
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(_mode_gram(data, conj_data, mode)), 0.0, None))
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
-        thr = max(NOISE_MARGIN * edge, REL_FLOOR * (sv[0] if sv.size else 0.0))
+        thr = max(NOISE_MARGIN * edge, REL_FLOOR * sv[-1])
         count = int(np.sum(sv > thr))
         best = max(best, count)
     return min(best, max_rank)

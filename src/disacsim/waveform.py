@@ -408,18 +408,41 @@ def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
     return bin_path, json_path
 
 
+def _int_list(value, minimum: float = -np.inf) -> bool:
+    return isinstance(value, list) and all(type(n) is int and n >= minimum for n in value)
+
+
+# what a tensor header value may be, by kind: (description, test)
+_HEADER_KINDS = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "indices": ("a list of integers", _int_list),
+    "shape": ("a list of positive integers", lambda v: _int_list(v, 1)),
+}
+
+
 class _Header(dict):
-    """A JSON object of a tensor header: a missing key is a ValueError naming it."""
+    """A JSON object of a tensor header: a missing key, or a value of the
+    wrong kind (see _HEADER_KINDS), is a ValueError naming the key."""
 
     def __missing__(self, key):
         raise ValueError(f"tensor header lacks key {key!r}")
+
+    def take(self, key: str, kind: str):
+        value = self[key]
+        what, test = _HEADER_KINDS[kind]
+        if not test(value):
+            raise ValueError(f"tensor header key {key!r} must be {what}, got {value!r}")
+        return value
 
 
 def load_tensor(prefix: str) -> MeasurementTensor:
     """Read a tensor written by :func:`export_tensor` (pass the same prefix).
 
-    A header that lacks a key, or whose shape is not a list of positive
-    integers, is a ValueError naming the key.
+    A header that lacks a key, or holds a value of the wrong kind (an
+    object, a number, integers; see _HEADER_KINDS), is a ValueError naming
+    the key.
     """
     if prefix.endswith(".json") or prefix.endswith(".bin"):
         prefix = prefix.rsplit(".", 1)[0]
@@ -427,36 +450,40 @@ def load_tensor(prefix: str) -> MeasurementTensor:
         header = json.load(fh, object_hook=_Header)
     if header.get("format") != "disacsim-tensor/1":
         raise ValueError(f"unrecognized tensor format {header.get('format')!r}")
-    shape = header["shape"]
-    if not isinstance(shape, list) or not all(type(n) is int and n > 0 for n in shape):
-        raise ValueError(f"tensor header shape must be a list of positive integers, got {shape!r}")
+    shape = header.take("shape", "shape")
     bin_path = prefix + ".bin"
     if os.path.getsize(bin_path) != np.dtype(np.complex128).itemsize * int(np.prod(shape)):
         raise ValueError("binary payload size does not match the header shape")
     data = np.fromfile(bin_path, dtype=np.complex128).reshape(shape)
-    o = header["ofdm"]
+    o = header.take("ofdm", "object")
     ofdm = OfdmConfig(
-        carrier_freq=o["carrier_freq"],
-        bandwidth=o["bandwidth"],
-        num_subcarriers=o["num_subcarriers"],
-        subcarrier_spacing=o["subcarrier_spacing"],
-        tx_power_dbm=o["tx_power_dbm"],
-        noise_variance_dbm=o["noise_variance_dbm"],
+        carrier_freq=o.take("carrier_freq", "number"),
+        bandwidth=o.take("bandwidth", "number"),
+        num_subcarriers=o.take("num_subcarriers", "integer"),
+        subcarrier_spacing=o.take("subcarrier_spacing", "number"),
+        tx_power_dbm=o.take("tx_power_dbm", "number"),
+        noise_variance_dbm=o.take("noise_variance_dbm", "number"),
     )
-    rx_geom = geom_from_dict(header["rx_geom"])
-    tx_geom = geom_from_dict(header["tx_geom"])
+    geoms = {}
+    for key in ("rx_geom", "tx_geom"):
+        try:
+            geoms[key] = geom_from_dict(header.take(key, "object"))
+        except TypeError as exc:
+            raise ValueError(f"tensor header key {key!r} is not an array geometry: {exc}") from exc
+    books_spec = header.take("codebooks", "object")
     cbs = {}
     for label in AXIS_LABELS:
-        spec = header["codebooks"][label]
-        idx = tuple(spec["beam_indices"])
-        cb = dft_codebook(spec["axis_size"], len(idx), label, first_beam=idx[0] if idx else None)
+        spec = books_spec.take(label, "object")
+        idx = tuple(spec.take("beam_indices", "indices"))
+        axis_size = spec.take("axis_size", "integer")
+        cb = dft_codebook(axis_size, len(idx), label, first_beam=idx[0] if idx else None)
         if cb.beam_indices != idx:
             raise ValueError(
                 f"{label} beam indices {list(idx)} are not a contiguous DFT sector"
             )
         cbs[label] = cb
-    books = CodebookSet(**cbs, rx_geom=rx_geom, tx_geom=tx_geom)
+    books = CodebookSet(**cbs, **geoms)
     return MeasurementTensor(
-        data=data, codebooks=books, ofdm=ofdm, noise_var=header["noise_var"]
+        data=data, codebooks=books, ofdm=ofdm, noise_var=header.take("noise_var", "number")
     )
 

@@ -8,9 +8,10 @@ estimation chain) so agreement is meaningful.
 
 import numpy as np
 
-from disacsim.estimator import EstimatedPath
+from disacsim.estimator import NOISE_MARGIN, REL_FLOOR, EstimatedPath
 from disacsim.fusion import LosMeasurement, PathMeasurement
 from disacsim.geometry import BORESIGHT_ALONG_X, angles_from_direction
+from disacsim.waveform import expected_noise_energy
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,21 @@ def reference_als(data, rank, seed, max_sweeps, rel_tol):
         if stop:
             break
     return factors, history
+
+
+def svd_model_order(tensor, max_rank):
+    """``select_model_order``'s count the direct way: a full SVD of each
+    copied mode unfolding, thresholded by the same rule."""
+    data = tensor.data
+    var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
+    best = 0
+    for mode in range(data.ndim):
+        unf = np.moveaxis(data, mode, 0).reshape(data.shape[mode], -1)
+        m, n = unf.shape
+        sv = np.linalg.svd(unf, compute_uv=False)
+        edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
+        best = max(best, int(np.sum(sv > max(NOISE_MARGIN * edge, REL_FLOOR * sv[0]))))
+    return min(best, max_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,24 @@ def test_estimate_rejects_a_header_without_a_key(tmp_path, capsys):
     assert err.startswith("config error: cannot read tensor") and "'tx_power_dbm'" in err
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda header: header.update(ofdm=5), "'ofdm'"),
+        (lambda header: header.update(noise_var="x"), "'noise_var'"),
+        (lambda header: header["codebooks"]["rx_az"].update(beam_indices=5), "'beam_indices'"),
+        (lambda header: header["rx_geom"].update(n_x="4"), "'rx_geom'"),
+    ],
+    ids=["ofdm", "noise_var", "beam_indices", "rx_geom"],
+)
+def test_estimate_rejects_a_header_value_of_the_wrong_type(tmp_path, capsys, edit, key):
+    prefix = small_tensor(tmp_path)
+    edit_header(prefix, edit)
+    assert main(["estimate", "--tensor", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read tensor") and key in err
+
+
 @pytest.mark.parametrize("shape", ["abc", [8, "8", 4, 4, 32], [0, 4, 3, 4, 32]])
 def test_estimate_rejects_a_header_shape_that_is_not_sizes(tmp_path, capsys, shape):
     prefix = small_tensor(tmp_path)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from disacsim.estimator import (
+    DEFAULT_MAX_RANK,
     AlsOptions,
     CpFactors,
     RankDeficiencyError,
-    canonical_phase,
+    _update_mode,
     cpd_als,
     estimate_paths,
     extract_angle,
@@ -13,7 +14,8 @@ from disacsim.estimator import (
     select_model_order,
 )
 from disacsim.geometry import AnglePair, angles_from_cosines, direction_cosines
-from disacsim.scene import LABEL_LOS, PathRecord, UpaGeometry
+from disacsim.harness import default_scenario, receiver_seed
+from disacsim.scene import LABEL_LOS, PathRecord, UpaGeometry, random_scene
 from disacsim.waveform import (
     CodebookSet,
     MeasurementTensor,
@@ -24,9 +26,10 @@ from disacsim.waveform import (
     expected_noise_energy,
     path_beam_factors,
     phase_ramp,
+    synthesize_tensor,
     tensor_from_paths,
 )
-from oracles import reference_als
+from oracles import reference_als, svd_model_order
 
 RX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
 TX_GEOM = UpaGeometry(8, 8, 0.01, 0.02)
@@ -102,6 +105,11 @@ def test_cpd_reconstruct_consistency():
     recon = cp.reconstruct()
     assert recon.shape == tensor.data.shape
     assert np.linalg.norm(tensor.data - recon) == pytest.approx(cp.residual, abs=1e-9)
+    # every column has unit norm and its largest-magnitude entry real positive
+    for f in cp.factors:
+        np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, rtol=1e-12)
+        pivots = f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])]
+        assert np.all(pivots.real > 0.0) and np.all(np.abs(pivots.imag) <= 1e-15)
 
 
 def test_cpd_residual_history_monotone():
@@ -146,6 +154,25 @@ def test_cpd_overfit_rank_is_detected():
     tensor, _ = planted_tensor(1, [1.0])
     with pytest.raises(RankDeficiencyError):
         cpd_als(tensor, 2, AlsOptions(restarts=1, seed=0))
+    # with several restarts stacked, the first singular Gram still raises
+    with pytest.raises(RankDeficiencyError, match="restart"):
+        cpd_als(tensor, 2, AlsOptions(restarts=3, seed=0))
+
+
+@pytest.mark.parametrize("bad_value", [0.0, np.nan])
+def test_a_singular_gram_in_one_restart_names_it(bad_value):
+    # stack entry 1 (restart 6) gets a zero or NaN column in mode c, so only
+    # its mode-a Gram product is singular or non-finite
+    rng = np.random.default_rng(0)
+    factors = [
+        rng.standard_normal((2, n, 3)) + 1j * rng.standard_normal((2, n, 3))
+        for n in (4, 4, 8, 8, 32)
+    ]
+    factors[2][1, :, 0] = bad_value
+    grams = [f.swapaxes(-1, -2).conj() @ f for f in factors]
+    v = rng.standard_normal((2, 4, 3)) + 0j
+    with pytest.raises(RankDeficiencyError, match="restart 6: mode-0"):
+        _update_mode(factors, grams, 0, v, np.array([5, 6]))
 
 
 def test_cpd_four_components_at_30db():
@@ -212,6 +239,53 @@ def test_cpd_matches_the_reference_als(seed):
             assert np.max(np.abs(got[:, l] - col * turn / abs(turn))) <= 1e-8
 
 
+def best_run_index(cp, runs, norm):
+    """Index of the (history, converged) run that cp reproduces; it must be
+    one with the smallest final residual, and runs within 1e-9 of that
+    reach the same fit, so which of them is smallest is roundoff."""
+    floor = min(history[-1] for history, _ in runs)
+    assert cp.residual == pytest.approx(floor, rel=1e-9)
+    matches = [
+        r
+        for r, (history, converged) in enumerate(runs)
+        if history[-1] <= floor * (1.0 + 1e-9)
+        and len(history) == cp.sweeps
+        and converged == cp.converged
+        and np.allclose(cp.residual_history, history, rtol=1e-9, atol=1e-12 * norm)
+    ]
+    assert matches
+    return matches[0]
+
+
+def test_stacked_restarts_match_the_reference_als():
+    # restarts 0-7 of this tensor stop at different sweeps: 3, 5, 6 and 7 at
+    # the noise floor after 4-10, the others in swamps after 13-47 sweeps
+    noisy = noisy_rank_three()
+    norm = np.linalg.norm(noisy.data)
+    opts = AlsOptions(restarts=8, seed=0)
+    cp = cpd_als(noisy, 3, opts)
+    runs = []
+    for r in range(opts.restarts):
+        _, history = reference_als(noisy.data, 3, opts.seed + r, opts.max_sweeps, opts.rel_tol)
+        runs.append((history, len(history) < opts.max_sweeps))
+    assert sorted({len(history) for history, _ in runs}) == [4, 7, 10, 13, 25, 34, 47]
+    assert best_run_index(cp, runs, norm) in (3, 5, 6, 7)
+
+
+@pytest.mark.parametrize("seed, restarts", [(0, 3), (2, 4)])
+def test_stacked_restarts_are_the_best_single_restart(seed, restarts):
+    noisy = noisy_rank_three()
+    norm = np.linalg.norm(noisy.data)
+    cp = cpd_als(noisy, 3, AlsOptions(restarts=restarts, seed=seed))
+    singles = [
+        cpd_als(noisy, 3, AlsOptions(restarts=1, seed=seed + r)) for r in range(restarts)
+    ]
+    single = singles[best_run_index(cp, [(s.residual_history, s.converged) for s in singles], norm)]
+    for got, want in zip(cp.factors, single.factors):
+        assert np.max(np.abs(got - want)) <= 1e-9
+    assert np.max(np.abs(cp.gains - single.gains)) <= 1e-9 * norm
+
+
 def test_cpd_norm_identity_residual_is_the_direct_residual():
     # a fit far from exact takes its residual from the norm identity
     noisy = noisy_rank_three()
@@ -232,16 +306,6 @@ def test_cpd_exact_fit_takes_the_direct_residual():
     assert cp.converged
     assert cp.residual <= 1e-10 * norm
     assert np.linalg.norm(exact.data - cp.reconstruct()) <= 1e-10 * norm
-
-
-def test_canonical_phase():
-    v = np.array([0.1 + 0.2j, -0.9j, 0.3])
-    out = canonical_phase(v)
-    idx = np.argmax(np.abs(out))
-    assert out[idx].imag == pytest.approx(0.0, abs=1e-15)
-    assert out[idx].real > 0.0
-    np.testing.assert_allclose(np.abs(out), np.abs(v))
-    np.testing.assert_array_equal(canonical_phase(np.zeros(3)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +336,31 @@ def test_model_order_40db_mostly_right():
         tensor, _ = planted_tensor(2, gains, noise_var=var, noise_seed=seed)
         hits += select_model_order(tensor) == 2
     assert hits >= 38
+
+
+def test_model_order_from_grams_counts_as_the_svd():
+    config = default_scenario()
+    tensors = []
+    for trial in range(4):
+        seed = config.seed + trial
+        scene = random_scene(config.scene, seed)
+        for rx in scene.receivers:
+            tensors.append(synthesize_tensor(
+                scene, rx.node_id, config.codebooks(), config.ofdm,
+                noise_seed=receiver_seed(seed, rx.node_id),
+                effective_snr_db=config.effective_snr_db,
+            ))
+    tensors += [planted_tensor(2, [1.0, 0.7j])[0], planted_tensor(4, [1.0, 1.0, 1.0, 1.0])[0]]
+    books = make_books()
+    ofdm = OfdmConfig(num_subcarriers=32)
+    noise = beamspace_noise(books, ofdm, 1.0, np.random.Generator(np.random.Philox(key=[5, 1])))
+    tensors.append(MeasurementTensor(data=noise, codebooks=books, ofdm=ofdm, noise_var=1.0))
+    gains = np.array([1.0, 0.8 * np.exp(0.9j)])
+    var = snr_noise_var(planted_tensor(2, gains)[1], 40.0)
+    tensors += [planted_tensor(2, gains, noise_var=var, noise_seed=s)[0] for s in range(5)]
+    for tensor in tensors:
+        for cap in (DEFAULT_MAX_RANK, 2):
+            assert select_model_order(tensor, max_rank=cap) == svd_model_order(tensor, cap)
 
 
 def test_model_order_respects_cap():
