@@ -41,7 +41,6 @@ from .harness import (
     run_trial,
 )
 from .pipeline import (
-    LocalizedPoint,
     SingleReceiverResult,
     build_associations,
     clutter_filter,
@@ -90,7 +89,6 @@ __all__ = [
     "ExtendedTarget",
     "FoiBounds",
     "IllConditionedError",
-    "LocalizedPoint",
     "LosMeasurement",
     "MeasurementTensor",
     "MonteCarloResult",

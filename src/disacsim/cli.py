@@ -18,6 +18,7 @@ from .estimator import DEFAULT_MAX_RANK, AlsOptions, EstimatedPath, estimate_pat
 from .harness import (
     ConfigError,
     ScenarioConfig,
+    _integer,
     default_scenario,
     load_config,
     parse_mode,
@@ -84,11 +85,12 @@ def _int_flag(flag: str, text, minimum: int) -> int:
     """The integer value of ``flag``, at least ``minimum``, or a ConfigError."""
     try:
         value = int(text)
-        if value >= minimum:
-            return value
     except ValueError:
-        pass
-    raise ConfigError(f"{flag}: expected an integer >= {minimum}, got {text!r}")
+        value = text  # not an integer: the setting rule below names it
+    try:
+        return _integer(minimum)(value)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def cmd_estimate(args) -> int:

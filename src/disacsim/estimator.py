@@ -21,12 +21,12 @@ terms, one per propagation path. Estimation proceeds in three steps:
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import AnglePair, angles_from_cosines
-from .scene import LABEL_LOS, PathRecord, phase_ramp
+from .scene import phase_ramp
 from .waveform import (
     BeamCodebook,
     MeasurementTensor,
@@ -505,7 +505,7 @@ def estimate_paths(
         (books.tx_el, kd_tx),
         (books.tx_az, kd_tx),
     ]
-    raw = []
+    found = []
     for l in range(cp.rank):
         omegas = []
         corrs = []
@@ -519,15 +519,14 @@ def estimate_paths(
         low_conf = (
             min(corrs) < LOW_CONFIDENCE_CORR or not aoa_ok or not aod_ok
         )
-        raw.append((aoa, aod, tau, low_conf))
+        found.append(
+            EstimatedPath(gain=0j, delay=tau, aoa=aoa, aod=aod, low_confidence=low_conf)
+        )
 
     # re-fit gains against the signatures of the extracted parameters; the
     # design columns are rank-1, so its Gram is the Hadamard product of the
     # per-mode Grams and its right-hand side a contraction of the tensor
-    sigs = []
-    for aoa, aod, tau, _ in raw:
-        probe = PathRecord(gain=1.0, delay=tau, aoa=aoa, aod=aod, label=LABEL_LOS)
-        sigs.append(path_beam_factors(probe, books, tensor.ofdm))
+    sigs = [path_beam_factors(p, books, tensor.ofdm) for p in found]
     mats = [np.stack([fac[i] for fac in sigs], axis=1) for i in range(5)]
     gram = np.ones((cp.rank, cp.rank), dtype=complex)
     for m in mats:
@@ -537,16 +536,7 @@ def estimate_paths(
         rhs = _contract_last(rhs.reshape(cp.rank, -1, m.shape[0]), m)
     gains, *_ = np.linalg.lstsq(gram, rhs[:, 0], rcond=None)
 
-    paths = [
-        EstimatedPath(
-            gain=complex(gains[l]),
-            delay=raw[l][2],
-            aoa=raw[l][0],
-            aod=raw[l][1],
-            low_confidence=raw[l][3],
-        )
-        for l in range(cp.rank)
-    ]
+    paths = [replace(p, gain=complex(g)) for p, g in zip(found, gains)]
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))
     logger.debug("estimated %d paths (model order %d)", len(paths), order)
     return paths

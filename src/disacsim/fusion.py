@@ -325,21 +325,6 @@ def solve_wls(
     return x, residual
 
 
-def solve_system(system: LinearSystem, weighting: str = "wls") -> tuple[np.ndarray, float]:
-    """Solve a built system; weighting="ls" ignores the gain weights."""
-    if weighting == "wls":
-        w = system.weights
-    elif weighting == "ls":
-        w = np.ones_like(system.weights)
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    try:
-        return solve_wls(system.matrix, system.rhs, w)
-    except IllConditionedError as exc:
-        col = exc.dependent_column
-        raise IllConditionedError(f"{exc} ({system.layout.labels[col]})", col) from exc
-
-
 # ---------------------------------------------------------------------------
 # Estimate extraction
 # ---------------------------------------------------------------------------
@@ -420,9 +405,20 @@ def run_fusion(
     speed_of_light: float,
     weighting: str = "wls",
 ) -> SceneEstimate:
-    """Build, solve and unpack the joint system in one call."""
+    """Build, solve and unpack the joint system in one call.
+
+    weighting="wls" weights each row by its path's |gain|; "ls" ignores
+    the gains. An IllConditionedError names the dependent unknown.
+    """
+    if weighting not in ("wls", "ls"):
+        raise ValueError(f"unknown weighting {weighting!r}")
     system = build_joint_system(clusters, los, p_bs, speed_of_light)
-    x, residual = solve_system(system, weighting=weighting)
+    w = system.weights if weighting == "wls" else np.ones_like(system.weights)
+    try:
+        x, residual = solve_wls(system.matrix, system.rhs, w)
+    except IllConditionedError as exc:
+        col = exc.dependent_column
+        raise IllConditionedError(f"{exc} ({system.layout.labels[col]})", col) from exc
     return extract_estimate(
         x, system.layout, clusters, p_bs, speed_of_light, residual, weighting=weighting
     )

@@ -125,12 +125,6 @@ def check_rotation(matrix) -> np.ndarray:
     return m
 
 
-def rotation_about_z(angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about the global z axis (vehicle heading change)."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 @dataclass(frozen=True)
 class FoiBounds:
     """Forward field-of-interest sector, radians. Bounds are half-widths."""

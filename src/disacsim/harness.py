@@ -20,7 +20,6 @@ across runs of the same config and seed.
 import csv
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -118,12 +117,13 @@ def _require_mapping(raw, where: str) -> dict:
     return raw
 
 
-def _integer(minimum: float = -math.inf):
-    """Converter for an integer setting of at least ``minimum``."""
+def _integer(minimum: int | None = None):
+    """Converter for an integer setting of at least ``minimum`` (if given)."""
+    bound = "" if minimum is None else f" >= {minimum}"
 
     def convert(value) -> int:
-        if not isinstance(value, int) or value < minimum:
-            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        if not isinstance(value, int) or (minimum is not None and value < minimum):
+            raise ValueError(f"expected an integer{bound}, got {value!r}")
         return value
 
     return convert

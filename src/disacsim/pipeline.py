@@ -12,15 +12,16 @@ Stages, in order:
    field of interest; the direct path is exempt.
 4. localize_single -- per-receiver weighted least squares turning each
    reflection path into a coarse scatterer position plus a receiver
-   state (position, clock offset). It is the fusion-center system
-   restricted to one receiver, with every reflection path filed as its
-   own singleton target cluster.
+   state (position, clock offset). It is fusion.run_fusion on one
+   receiver, with every reflection path filed as its own singleton
+   target cluster; the points and the dropped paths are that estimate's
+   target points and excluded targets.
 5. dbscan / build_associations -- cluster the coarse points across
    receivers and hand the grouping to the fusion center.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,10 +30,10 @@ from .fusion import (
     IllConditionedError,
     LosMeasurement,
     PathMeasurement,
-    build_joint_system,
-    solve_system,
+    SceneEstimate,
+    run_fusion,
 )
-from .geometry import BORESIGHT_ALONG_X, FoiBounds, as_vec3, direction_from_angles
+from .geometry import BORESIGHT_ALONG_X, FoiBounds, direction_from_angles
 
 logger = logging.getLogger(__name__)
 
@@ -78,19 +79,7 @@ def unwrap_delays(
         raise ValueError("delay_period must be positive")
     ref = max(paths, key=lambda p: abs(p.gain)).delay
     lo = ref - slack_fraction * delay_period
-    out = []
-    for p in paths:
-        shifted = lo + (p.delay - lo) % delay_period
-        out.append(
-            EstimatedPath(
-                gain=p.gain,
-                delay=shifted,
-                aoa=p.aoa,
-                aod=p.aod,
-                low_confidence=p.low_confidence,
-            )
-        )
-    return out
+    return [replace(p, delay=lo + (p.delay - lo) % delay_period) for p in paths]
 
 
 def identify_los(
@@ -144,29 +133,19 @@ def clutter_filter(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalizedPoint:
-    """Coarse scatterer position from a single receiver's view."""
-
-    position: np.ndarray
-    ue_id: int
-    path_index: int  # index into the receiver's estimated path list
-    weight: float
-
-
 @dataclass
 class SingleReceiverResult:
-    """Output of one receiver's standalone localization."""
+    """Output of one receiver's standalone localization.
+
+    estimate is the singleton-cluster fusion estimate: its target ids are
+    path indices, so target_points holds the coarse scatterer point of
+    each kept path and excluded_targets the dropped paths with reasons.
+    """
 
     ue_id: int
-    ue_position: np.ndarray
-    timing_offset: float
-    los_range: float
-    points: list[LocalizedPoint]
     measurements: list[PathMeasurement]
     los: LosMeasurement
-    dropped_paths: dict[int, str]
-    residual: float
+    estimate: SceneEstimate
 
 
 def path_directions(
@@ -203,11 +182,12 @@ def localize_single(
     :func:`fusion.build_joint_system`. Requires at least one reflection
     path; with none the clock offset and position cannot both be pinned.
 
-    Scatterer points are re-projected as p_bs + r * u_bs. Paths whose
-    estimated transmitter range comes out negative are dropped from the
-    point list (kept in the report with a reason).
+    The solve is :func:`fusion.run_fusion`, so the estimate's target
+    points (p_bs + r * u_bs, keyed by path index) are the coarse scatterer
+    points, and a path whose transmitter range comes out negative is
+    dropped from them into ``estimate.excluded_targets`` with a reason (as
+    is a zero-gain path, whose direction average is degenerate).
     """
-    p_bs = as_vec3(p_bs)
     rot = np.asarray(rx_orientation, dtype=float)
     if not (0 <= los_index < len(paths)):
         raise LocalizationError(f"direct-path index {los_index} out of range")
@@ -233,39 +213,12 @@ def localize_single(
     )
 
     clusters = {m.path_index: {ue_id: [m]} for m in measurements}
-    system = build_joint_system(clusters, {ue_id: los_meas}, p_bs, speed_of_light)
     try:
-        x, residual = solve_system(system, weighting)
+        estimate = run_fusion(clusters, {ue_id: los_meas}, p_bs, speed_of_light, weighting)
     except IllConditionedError as exc:
         raise LocalizationError(f"receiver {ue_id}: {exc}") from exc
-
-    layout = system.layout
-    points = []
-    dropped: dict[int, str] = {}
-    for m in measurements:
-        r_hat = float(x[layout.col_range(m.path_index)])
-        if r_hat < 0.0:
-            dropped[m.path_index] = f"negative transmitter range {r_hat:.3f} m"
-            continue
-        points.append(
-            LocalizedPoint(
-                position=p_bs + r_hat * m.u_bs,
-                ue_id=ue_id,
-                path_index=m.path_index,
-                weight=m.weight,
-            )
-        )
-    col_pos = layout.col_position(ue_id)
     return SingleReceiverResult(
-        ue_id=ue_id,
-        ue_position=x[col_pos : col_pos + 3].copy(),
-        timing_offset=float(x[layout.col_offset(ue_id)]) / speed_of_light,
-        los_range=float(x[layout.col_los_range(ue_id)]),
-        points=points,
-        measurements=measurements,
-        los=los_meas,
-        dropped_paths=dropped,
-        residual=residual,
+        ue_id=ue_id, measurements=measurements, los=los_meas, estimate=estimate
     )
 
 
@@ -331,29 +284,28 @@ def build_associations(
     results: list[SingleReceiverResult],
     eps: float = DEFAULT_EPS_M,
     min_points: int = DEFAULT_MIN_POINTS,
-) -> tuple[dict[int, dict[int, list[PathMeasurement]]], np.ndarray, list[LocalizedPoint]]:
+) -> tuple[dict[int, dict[int, list[PathMeasurement]]], np.ndarray, list[PathMeasurement]]:
     """Pool coarse points across receivers and cluster them.
 
-    Returns (clusters, labels, pooled_points) where clusters maps
-    cluster label -> receiver id -> the PathMeasurements whose points
-    fell in that cluster. Noise points associate with nothing.
+    Each receiver contributes the point of every path its single-receiver
+    estimate kept. Returns (clusters, labels, pooled) where pooled lists
+    the measurement behind each point, in the order of labels, and
+    clusters maps cluster label -> receiver id -> the measurements whose
+    points fell in that cluster. Noise points associate with nothing.
     """
-    pooled: list[LocalizedPoint] = []
-    meas_by_key: dict[tuple[int, int], PathMeasurement] = {}
+    pooled: list[PathMeasurement] = []
+    coords = []
     for res in results:
-        pooled.extend(res.points)
+        points = res.estimate.target_points
         for m in res.measurements:
-            meas_by_key[(m.ue_id, m.path_index)] = m
+            if m.path_index in points:
+                pooled.append(m)
+                coords.append(points[m.path_index])
     if not pooled:
         return {}, np.empty(0, dtype=int), []
-    coords = np.stack([p.position for p in pooled])
-    labels = dbscan(coords, eps=eps, min_points=min_points)
+    labels = dbscan(np.stack(coords), eps=eps, min_points=min_points)
     clusters: dict[int, dict[int, list[PathMeasurement]]] = {}
-    for point, label in zip(pooled, labels):
-        if label == NOISE_LABEL:
-            continue
-        per_ue = clusters.setdefault(int(label), {})
-        per_ue.setdefault(point.ue_id, []).append(
-            meas_by_key[(point.ue_id, point.path_index)]
-        )
+    for m, label in zip(pooled, labels):
+        if label != NOISE_LABEL:
+            clusters.setdefault(int(label), {}).setdefault(m.ue_id, []).append(m)
     return clusters, labels, pooled

@@ -263,19 +263,6 @@ def axis_responses(angles: AnglePair, geom: UpaGeometry) -> tuple[np.ndarray, np
     return phase_ramp(scale * ux, geom.n_x), phase_ramp(scale * uy, geom.n_y)
 
 
-def path_delay(scene: Scene, rx_id: int, scatter_point) -> float:
-    """Measured delay of a single-bounce path via ``scatter_point``.
-
-    Geometric two-hop time of flight plus the receiver clock offset; the
-    offset enters the measured delay exactly once, here.
-    """
-    rx = scene.receiver(rx_id)
-    p = as_vec3(scatter_point)
-    hop1 = np.linalg.norm(p - scene.tx.position)
-    hop2 = np.linalg.norm(rx.position - p)
-    return (hop1 + hop2) / scene.speed_of_light + rx.timing_offset
-
-
 def _local_angles(direction_global, orientation) -> AnglePair:
     return angles_from_direction(orientation.T @ as_vec3(direction_global))
 

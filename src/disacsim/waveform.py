@@ -226,7 +226,11 @@ def channel_matrix(
 def path_beam_factors(
     path: PathRecord, books: CodebookSet, ofdm: OfdmConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The five per-axis signatures of one path (unit gain)."""
+    """The five per-axis signatures of one path (unit gain).
+
+    Only ``aoa``, ``aod`` and ``delay`` are read, so an estimator's
+    ``EstimatedPath`` serves as well as a ground-truth ``PathRecord``.
+    """
     rx_ax, rx_ay = axis_responses(path.aoa, books.rx_geom)
     tx_ax, tx_ay = axis_responses(path.aod, books.tx_geom)
     omega = -2.0 * np.pi * ofdm.subcarrier_spacing * path.delay

@@ -195,6 +195,19 @@ def exact_paths(scene, rx_id):
     ]
 
 
+def path_delay(scene, rx_id, scatter_point):
+    """Measured delay of a single-bounce path via ``scatter_point``.
+
+    Geometric two-hop time of flight plus the receiver clock offset; the
+    offset enters the measured delay exactly once, here.
+    """
+    rx = scene.receiver(rx_id)
+    p = np.asarray(scatter_point, dtype=float)
+    hop1 = np.linalg.norm(p - scene.tx.position)
+    hop2 = np.linalg.norm(rx.position - p)
+    return (hop1 + hop2) / scene.speed_of_light + rx.timing_offset
+
+
 def consistent_reflection(p_bs, ue_position, rx_orientation, r_bs, d_rx, dt,
                           u_bs, speed_of_light, gain=1.0):
     """An exactly self-consistent reflection path with a chosen geometry.

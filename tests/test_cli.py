@@ -189,6 +189,14 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, named):
     assert err.startswith("config error:") and named in err
 
 
+def test_integer_flags_and_settings_share_one_message(tmp_path, capsys):
+    missing = str(tmp_path / "none")  # flags are checked before the tensor is read
+    assert main(["estimate", "--tensor", missing, "--seed", "x"]) == 2
+    assert capsys.readouterr().err == "config error: --seed: expected an integer >= 0, got 'x'\n"
+    assert main(["estimate", "--tensor", missing, "--restarts", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --restarts: expected an integer >= 1, got 0\n"
+
+
 def test_estimate_rank_zero_returns_no_paths(tmp_path, capsys):
     prefix = small_tensor(tmp_path)
     assert main(["estimate", "--tensor", prefix, "--rank", "0"]) == 0

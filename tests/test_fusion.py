@@ -17,7 +17,6 @@ from disacsim.fusion import (
     build_joint_system,
     extract_estimate,
     run_fusion,
-    solve_system,
     solve_wls,
 )
 from disacsim.scene import SPEED_OF_LIGHT
@@ -111,8 +110,7 @@ def test_build_excludes_receiver_without_paths():
         per_ue.pop(1)
     system = build_joint_system(clusters, los, P_BS, SPEED_OF_LIGHT)
     assert system.layout.ue_ids == [0]
-    x, _ = solve_system(system)
-    est = extract_estimate(x, system.layout, clusters, P_BS, SPEED_OF_LIGHT, 0.0)
+    est = run_fusion(clusters, los, P_BS, SPEED_OF_LIGHT)
     assert sorted(est.ue_positions) == [0]
 
 

@@ -12,7 +12,6 @@ from disacsim.geometry import (
     direction_cosines,
     direction_from_angles,
     fold_forward,
-    rotation_about_z,
 )
 
 
@@ -103,24 +102,13 @@ def test_angles_from_cosines_off_disk():
 def test_check_rotation_accepts_and_rejects():
     check_rotation(np.eye(3))
     check_rotation(BORESIGHT_ALONG_X)
-    check_rotation(rotation_about_z(0.3))
+    check_rotation(BORESIGHT_ALONG_X.T)
     with pytest.raises(ValueError):
         check_rotation(2.0 * np.eye(3))
     with pytest.raises(ValueError):
         check_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     with pytest.raises(ValueError):
         check_rotation(np.eye(2))
-
-
-def test_rotation_about_z():
-    r = rotation_about_z(np.pi / 2)
-    np.testing.assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(r @ [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(
-        rotation_about_z(0.2) @ rotation_about_z(0.3),
-        rotation_about_z(0.5),
-        atol=1e-15,
-    )
 
 
 def test_boresight_mount_maps_local_to_global():

@@ -155,6 +155,9 @@ def test_config_rejects_bad_values():
         scenario_from_dict({"schema": SCHEMA, "scene": {"num_targets": "two"}})
     with pytest.raises(ConfigError, match="beams.bs_az.num"):
         scenario_from_dict({"schema": SCHEMA, "beams": {"bs_az": {"num": "x"}}})
+    # an integer with no lower bound names no bound
+    with pytest.raises(ConfigError, match=r"^beams\.bs_az\.first: expected an integer, got 'x'$"):
+        scenario_from_dict({"schema": SCHEMA, "beams": {"bs_az": {"first": "x"}}})
     with pytest.raises(ConfigError, match="scene.clutter_reflectivity_range"):
         scenario_from_dict(
             {"schema": SCHEMA, "scene": {"clutter_reflectivity_range": [0.1, 0.5, 0.9]}}

@@ -1,4 +1,5 @@
-"""The package's modules import each other at module level only.
+"""The package's modules import each other at module level only, and its
+public namespace holds what ``__all__`` promises.
 
 A relative import inside a function body hides a dependency from the
 module header, usually to dodge an import cycle that the layering should
@@ -44,3 +45,11 @@ def test_no_function_local_relative_imports():
         for name, line in function_local_relative_imports(path.read_text())
     ]
     assert offenders == []
+
+
+def test_every_public_name_resolves():
+    assert [name for name in disacsim.__all__ if not hasattr(disacsim, name)] == []
+    assert len(set(disacsim.__all__)) == len(disacsim.__all__)
+    namespace = {}
+    exec("from disacsim import *", namespace)
+    assert set(disacsim.__all__) <= namespace.keys()

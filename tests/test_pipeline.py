@@ -176,17 +176,18 @@ def test_localize_single_noiseless_round_trip():
     res = localize_single(
         paths, idx, 0, scene.receivers[0].orientation, scene.tx.position, SPEED_OF_LIGHT
     )
+    est = res.estimate
     truth = np.asarray(scene.receivers[0].position, dtype=float)
-    assert np.linalg.norm(res.ue_position - truth) < 1e-6
-    assert abs(res.timing_offset - 37e-9) < 1e-12
-    assert res.los_range == pytest.approx(
+    assert np.linalg.norm(est.ue_positions[0] - truth) < 1e-6
+    assert abs(est.ue_timing_offsets[0] - 37e-9) < 1e-12
+    assert est.ue_los_ranges[0] == pytest.approx(
         np.linalg.norm(truth - scene.tx.position), abs=1e-6
     )
-    assert res.dropped_paths == {}
+    assert est.excluded_targets == {}
     scatters = np.array([[20.0, 10.0, 1.0], [25.0, -8.0, 1.2], [10.0, 6.0, 2.0]])
-    assert len(res.points) == 3
-    for pt in res.points:
-        gaps = np.linalg.norm(scatters - pt.position, axis=1)
+    assert len(est.target_points) == 3
+    for point in est.target_points.values():
+        gaps = np.linalg.norm(scatters - point, axis=1)
         assert gaps.min() < 1e-6
 
 
@@ -241,8 +242,9 @@ def test_localize_single_ls_equals_equal_weights():
         EstimatedPath(gain=0.7, delay=p.delay, aoa=p.aoa, aod=p.aod) for p in paths
     ]
     res_eq = localize_single(flat, 0, *args, weighting="wls")
-    np.testing.assert_allclose(res_ls.ue_position, res_eq.ue_position, atol=1e-9)
-    assert res_ls.timing_offset == pytest.approx(res_eq.timing_offset, abs=1e-15)
+    ls, eq = res_ls.estimate, res_eq.estimate
+    np.testing.assert_allclose(ls.ue_positions[0], eq.ue_positions[0], atol=1e-9)
+    assert ls.ue_timing_offsets[0] == pytest.approx(eq.ue_timing_offsets[0], abs=1e-15)
     with pytest.raises(ValueError):
         localize_single(paths, 0, *args, weighting="ridge")
 
@@ -267,10 +269,16 @@ def test_localize_single_drops_negative_range():
     )
     paths = [exact_los_path(p_bs, p_ue, dt, SPEED_OF_LIGHT), good, bad]
     res = localize_single(paths, 0, 0, rot, p_bs, SPEED_OF_LIGHT)
-    assert res.dropped_paths == {2: "negative transmitter range -12.000 m"}
-    assert [pt.path_index for pt in res.points] == [1]
-    assert np.linalg.norm(res.ue_position - p_ue) < 1e-6
-    assert abs(res.timing_offset - dt) < 1e-12
+    est = res.estimate
+    assert est.excluded_targets == {2: "negative transmitter range -12.000 m"}
+    assert list(est.target_points) == [1]
+    assert np.linalg.norm(est.ue_positions[0] - p_ue) < 1e-6
+    assert abs(est.ue_timing_offsets[0] - dt) < 1e-12
+    # the dropped path is never pooled, so it joins no cluster
+    clusters, labels, pooled = build_associations([res], eps=2.0, min_points=1)
+    assert [m.path_index for m in pooled] == [1] and labels.tolist() == [0]
+    assert all(m.path_index != 2 for per_ue in clusters.values()
+               for ms in per_ue.values() for m in ms)
 
 
 def test_path_directions_frames():

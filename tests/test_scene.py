@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import path_delay
+
 from disacsim.geometry import (
     BORESIGHT_ALONG_X,
     AnglePair,
@@ -24,7 +26,6 @@ from disacsim.scene import (
     UpaGeometry,
     axis_responses,
     generate_ground_truth_paths,
-    path_delay,
     random_scene,
     scene_from_dict,
     scene_to_dict,
@@ -126,6 +127,9 @@ def test_path_delay_oracle():
     scene = _simple_scene()
     tau = path_delay(scene, 0, [20.0, 0.0, 1.0])
     assert tau == pytest.approx((np.sqrt(569.0) + 20.0) / SPEED_OF_LIGHT, rel=1e-12)
+    # the generator's target path carries the oracle's delay
+    (target,) = [p for p in generate_ground_truth_paths(scene, 0) if p.label == LABEL_TARGET]
+    assert target.delay == pytest.approx(tau, rel=1e-12)
 
 
 def test_path_delay_includes_clock_offset_once():
