@@ -47,6 +47,7 @@ from .pipeline import (
     dbscan,
     identify_los,
     localize_single,
+    process_receiver,
     unwrap_delays,
 )
 from .scene import (
@@ -125,6 +126,7 @@ __all__ = [
     "load_config",
     "load_tensor",
     "localize_single",
+    "process_receiver",
     "random_scene",
     "run_fusion",
     "run_montecarlo",

@@ -22,7 +22,6 @@ from .harness import (
     default_scenario,
     load_config,
     parse_mode,
-    receiver_seed,
     run_montecarlo,
     run_trial,
     write_csv,
@@ -30,7 +29,7 @@ from .harness import (
     write_scene,
 )
 from .scene import random_scene
-from .waveform import export_tensor, load_tensor, synthesize_tensor
+from .waveform import export_tensor, load_tensor
 
 logger = logging.getLogger(__name__)
 
@@ -66,14 +65,7 @@ def cmd_simulate(args) -> int:
     books = config.codebooks()
     written = [scene_path]
     for rx in scene.receivers:
-        tensor = synthesize_tensor(
-            scene,
-            rx.node_id,
-            books,
-            config.ofdm,
-            noise_seed=receiver_seed(config.seed, rx.node_id),
-            effective_snr_db=config.effective_snr_db,
-        )
+        tensor = config.receiver_tensor(scene, rx.node_id, config.seed, books)
         prefix = os.path.join(args.out_dir, f"tensor_rx{rx.node_id}")
         written.extend(export_tensor(tensor, prefix))
     for path in written:

@@ -101,17 +101,18 @@ class LosMeasurement:
 
 @dataclass
 class UnknownLayout:
-    """Column bookkeeping for the joint system."""
+    """Column bookkeeping for the joint system: each map sends an id to
+    the column of its unknown."""
 
     target_ids: list[int]
-    pair_cols: dict[tuple[int, int], int]  # (target_id, ue_id) -> column
+    pair_cols: dict[tuple[int, int], int]  # (target_id, ue_id) -> d_{m,n}
     ue_ids: list[int]
     num_unknowns: int = 0
     labels: list[str] = field(default_factory=list)  # column -> the unknown it holds
-    _r_cols: dict[int, int] = field(default_factory=dict)
-    _dt_cols: dict[int, int] = field(default_factory=dict)
-    _pos_cols: dict[int, int] = field(default_factory=dict)
-    _rlos_cols: dict[int, int] = field(default_factory=dict)
+    range_cols: dict[int, int] = field(default_factory=dict)  # target_id -> r_m
+    offset_cols: dict[int, int] = field(default_factory=dict)  # ue_id -> c * dt_n
+    position_cols: dict[int, int] = field(default_factory=dict)  # ue_id -> p_n x (y, z next)
+    los_range_cols: dict[int, int] = field(default_factory=dict)  # ue_id -> r_los_n
 
     @classmethod
     def build(cls, target_ids, observed_pairs, ue_ids) -> "UnknownLayout":
@@ -120,7 +121,7 @@ class UnknownLayout:
         layout = cls(target_ids=target_ids, pair_cols={}, ue_ids=ue_ids)
         labels = layout.labels
         for m in target_ids:
-            layout._r_cols[m] = len(labels)
+            layout.range_cols[m] = len(labels)
             labels.append(f"r[target {m}]")
         for m in target_ids:
             for n in ue_ids:
@@ -128,31 +129,16 @@ class UnknownLayout:
                     layout.pair_cols[(m, n)] = len(labels)
                     labels.append(f"d[target {m}, receiver {n}]")
         for n in ue_ids:
-            layout._dt_cols[n] = len(labels)
+            layout.offset_cols[n] = len(labels)
             labels.append(f"c*dt[receiver {n}]")
         for n in ue_ids:
-            layout._pos_cols[n] = len(labels)
+            layout.position_cols[n] = len(labels)
             labels.extend(f"p_{axis}[receiver {n}]" for axis in "xyz")
         for n in ue_ids:
-            layout._rlos_cols[n] = len(labels)
+            layout.los_range_cols[n] = len(labels)
             labels.append(f"r_los[receiver {n}]")
         layout.num_unknowns = len(labels)
         return layout
-
-    def col_range(self, m: int) -> int:
-        return self._r_cols[m]
-
-    def col_pair(self, m: int, n: int) -> int:
-        return self.pair_cols[(m, n)]
-
-    def col_offset(self, n: int) -> int:
-        return self._dt_cols[n]
-
-    def col_position(self, n: int) -> int:
-        return self._pos_cols[n]
-
-    def col_los_range(self, n: int) -> int:
-        return self._rlos_cols[n]
 
 
 @dataclass
@@ -163,13 +149,6 @@ class LinearSystem:
     rhs: np.ndarray
     weights: np.ndarray
     layout: UnknownLayout
-
-    def __post_init__(self):
-        rows = self.matrix.shape[0]
-        if self.rhs.shape != (rows,) or self.weights.shape != (rows,):
-            raise ValueError("rhs/weights length must match the row count")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be nonnegative")
 
 
 def build_joint_system(
@@ -244,8 +223,8 @@ def build_joint_system(
             for meas in pruned[m][n]:
                 if meas.ue_id != n:
                     raise ValueError("measurement filed under the wrong receiver")
-                cr, cd = layout.col_range(m), layout.col_pair(m, n)
-                cp, ct = layout.col_position(n), layout.col_offset(n)
+                cr, cd = layout.range_cols[m], layout.pair_cols[(m, n)]
+                cp, ct = layout.position_cols[n], layout.offset_cols[n]
                 a[r : r + 3, cr] = meas.u_bs
                 a[r : r + 3, cd] = meas.u_v
                 a[r : r + 3, cp : cp + 3] = -_EYE3
@@ -260,7 +239,7 @@ def build_joint_system(
                 r += 1
     for n in ue_ids:
         meas = los[n]
-        cp, ct, cl = layout.col_position(n), layout.col_offset(n), layout.col_los_range(n)
+        cp, ct, cl = layout.position_cols[n], layout.offset_cols[n], layout.los_range_cols[n]
         a[r : r + 3, cp : cp + 3] = _EYE3
         a[r : r + 3, cl] = -meas.u_los
         b[r : r + 3] = p_bs
@@ -286,9 +265,10 @@ def solve_wls(
     """Weighted least squares via orthogonal factorization of W^(1/2) A.
 
     Equivalent to the normal-equation solution (A^T W A)^-1 A^T W b but
-    numerically stable. Weights below 1e-12 times the largest weight are
-    floored there so a stray zero-gain path cannot null its rows into an
-    exactly singular system. Returns (x, weighted residual norm).
+    numerically stable. Weights must be nonnegative; those below 1e-12
+    times the largest weight are floored there so a stray zero-gain path
+    cannot null its rows into an exactly singular system. Returns (x,
+    weighted residual norm).
 
     Raises IllConditionedError when cond(A^T W A) exceeds 1e12, naming a
     dependent column.
@@ -298,6 +278,8 @@ def solve_wls(
     w = np.asarray(weights, dtype=float).copy()
     if a.ndim != 2 or a.shape[0] != b.shape[0] or w.shape != b.shape:
         raise ValueError("inconsistent system dimensions")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
     if a.shape[0] < a.shape[1]:
         raise UnderdeterminedError(
             f"{a.shape[0]} rows < {a.shape[1]} unknowns",
@@ -361,17 +343,14 @@ def extract_estimate(
     estimated range are excluded and reported with a reason.
     """
     p_bs = as_vec3(p_bs)
-    ue_positions = {n: x[layout.col_position(n) : layout.col_position(n) + 3].copy()
-                    for n in layout.ue_ids}
-    ue_offsets = {
-        n: float(x[layout.col_offset(n)]) / speed_of_light for n in layout.ue_ids
-    }
-    ue_los = {n: float(x[layout.col_los_range(n)]) for n in layout.ue_ids}
+    ue_positions = {n: x[c : c + 3].copy() for n, c in layout.position_cols.items()}
+    ue_offsets = {n: float(x[c]) / speed_of_light for n, c in layout.offset_cols.items()}
+    ue_los = {n: float(x[c]) for n, c in layout.los_range_cols.items()}
     target_points: dict[int, np.ndarray] = {}
     ranges: dict[int, float] = {}
     excluded: dict[int, str] = {}
     for m in layout.target_ids:
-        r_m = float(x[layout.col_range(m)])
+        r_m = float(x[layout.range_cols[m]])
         if r_m < 0.0:
             excluded[m] = f"negative transmitter range {r_m:.3f} m"
             continue
@@ -379,7 +358,7 @@ def extract_estimate(
         for ms in clusters[m].values():
             for meas in ms:
                 acc += meas.weight * meas.u_bs
-        norm = np.linalg.norm(acc)
+        norm = np.sqrt(acc @ acc)
         if norm == 0.0:
             excluded[m] = "degenerate direction average"
             continue

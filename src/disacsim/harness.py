@@ -34,10 +34,7 @@ from .pipeline import (
     DEFAULT_MIN_POINTS,
     SingleReceiverResult,
     build_associations,
-    clutter_filter,
-    identify_los,
-    localize_single,
-    unwrap_delays,
+    process_receiver,
 )
 from .scene import (
     DEFAULT_FOI,
@@ -122,7 +119,8 @@ def _integer(minimum: int | None = None):
     bound = "" if minimum is None else f" >= {minimum}"
 
     def convert(value) -> int:
-        if not isinstance(value, int) or (minimum is not None and value < minimum):
+        # bool is a subclass of int, so YAML's true/false would pass isinstance
+        if type(value) is not int or (minimum is not None and value < minimum):
             raise ValueError(f"expected an integer{bound}, got {value!r}")
         return value
 
@@ -137,17 +135,24 @@ def _modes(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _number(value) -> float:
+    """A number setting; numeric strings pass, as YAML reads 100e6 as one."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _snr_db(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _number(value)
 
 
 def _radians(degrees) -> float:
-    return float(np.deg2rad(degrees))
+    return float(np.deg2rad(_number(degrees)))
 
 
 def _float_pair(value) -> tuple[float, float]:
     lo, hi = value
-    return float(lo), float(hi)
+    return _number(lo), _number(hi)
 
 
 # One table per section: YAML key -> converter, or (argument name, converter)
@@ -163,17 +168,17 @@ _CONFIG_KEYS = {
     "trials": _integer(1),
     "modes": _modes,
     "ofdm": {
-        "carrier_freq_hz": ("carrier_freq", float),
-        "bandwidth_hz": ("bandwidth", float),
+        "carrier_freq_hz": ("carrier_freq", _number),
+        "bandwidth_hz": ("bandwidth", _number),
         "num_subcarriers": _integer(1),
-        "subcarrier_spacing_hz": ("subcarrier_spacing", float),
-        "tx_power_dbm": float,
-        "noise_variance_dbm": float,
+        "subcarrier_spacing_hz": ("subcarrier_spacing", _number),
+        "tx_power_dbm": _number,
+        "noise_variance_dbm": _number,
     },
     "arrays": {
         "bs": ("bs_geom", _ARRAY_KEYS),
         "ue": ("ue_geom", _ARRAY_KEYS),
-        "spacing_wavelengths": ("spacing", float),
+        "spacing_wavelengths": ("spacing", _number),
     },
     "beams": _BEAMS_KEYS,
     "scene": {
@@ -185,11 +190,11 @@ _CONFIG_KEYS = {
         "ue_box": check_box,
         "target_box": check_box,
         "clutter_box": check_box,
-        "target_extent_m": float,
-        "min_separation_m": float,
-        "target_min_separation_m": float,
-        "clutter_in_foi_fraction": float,
-        "timing_offset_range_ns": ("to_range_s", lambda ns: float(ns) * 1.0e-9),
+        "target_extent_m": _number,
+        "min_separation_m": _number,
+        "target_min_separation_m": _number,
+        "clutter_in_foi_fraction": _number,
+        "timing_offset_range_ns": ("to_range_s", lambda ns: _number(ns) * 1.0e-9),
         "foi_az_deg": ("foi_az", _radians),
         "foi_el_deg": ("foi_el", _radians),
         "foi_margin_deg": ("foi_margin", _radians),
@@ -202,10 +207,10 @@ _CONFIG_KEYS = {
         "max_rank": _integer(1),
         "restarts": _integer(1),
         "max_sweeps": _integer(1),
-        "rel_tol": float,
+        "rel_tol": _number,
     }),
-    "clustering": (None, {"eps_m": float, "min_points": _integer(1)}),
-    "metrics": (None, {"detection_radius_m": float}),
+    "clustering": (None, {"eps_m": _number, "min_points": _integer(1)}),
+    "metrics": (None, {"detection_radius_m": _number}),
 }
 
 
@@ -283,6 +288,13 @@ class ScenarioConfig:
     def codebooks(self) -> CodebookSet:
         books = {axis: self.codebook(axis) for axis in AXIS_LABELS}
         return CodebookSet(**books, rx_geom=self.ue_geom, tx_geom=self.bs_geom)
+
+    def receiver_tensor(self, scene: Scene, rx_id: int, seed: int, books: CodebookSet):
+        """Receiver ``rx_id``'s noisy tensor in the trial of seed ``seed``."""
+        return synthesize_tensor(
+            scene, rx_id, books, self.ofdm,
+            noise_seed=receiver_seed(seed, rx_id), effective_snr_db=self.effective_snr_db,
+        )
 
     def als_options(self, seed: int) -> AlsOptions:
         return AlsOptions(
@@ -538,32 +550,18 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     result.runtimes["scene"] = time.perf_counter() - t0
 
     books = config.codebooks()
-    period = config.ofdm.delay_period
-    # delay resolution of the aperture: one over the swept bandwidth
-    delay_resolution = 1.0 / (
-        config.ofdm.subcarrier_spacing * config.ofdm.num_subcarriers
-    )
-
     paths_by_rx: dict[int, list] = {}
     t0 = time.perf_counter()
     for rx in scene.receivers:
-        rx_seed = receiver_seed(seed, rx.node_id)
         try:
-            tensor = synthesize_tensor(
-                scene,
-                rx.node_id,
-                books,
-                config.ofdm,
-                noise_seed=rx_seed,
-                effective_snr_db=config.effective_snr_db,
-            )
+            tensor = config.receiver_tensor(scene, rx.node_id, seed, books)
         except Exception as exc:
             return fail_all("synthesis", exc)
         try:
             est = estimate_paths(
                 tensor,
                 rank="auto",
-                opts=config.als_options(rx_seed),
+                opts=config.als_options(receiver_seed(seed, rx.node_id)),
                 max_rank=config.max_rank,
             )
         except Exception as exc:
@@ -578,48 +576,20 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     single: dict[str, dict[int, SingleReceiverResult]] = {w: {} for w in weightings}
     t0 = time.perf_counter()
     for rx_id, est in paths_by_rx.items():
-        rx = scene.receiver(rx_id)
-        try:
-            unwrapped = unwrap_delays(est, period)
-            los_idx, ambiguous = identify_los(unwrapped, delay_resolution)
-            if ambiguous:
-                logger.debug(
-                    "trial %d rx %d: ambiguous direct-path pick", trial_index, rx_id
-                )
-            kept = clutter_filter(unwrapped, config.scene.foi, los_index=los_idx)
-            filtered = [unwrapped[i] for i in kept]
-            new_los = kept.index(los_idx)
-        except Exception as exc:
-            result.skipped_receivers[rx_id] = f"pipeline: {exc}"
-            continue
-        failures = []
-        for w in weightings:
-            try:
-                single[w][rx_id] = localize_single(
-                    filtered,
-                    new_los,
-                    ue_id=rx_id,
-                    rx_orientation=rx.orientation,
-                    p_bs=scene.tx.position,
-                    speed_of_light=scene.speed_of_light,
-                    weighting=w,
-                )
-            except Exception as exc:
-                failures.append(exc)
-        # a receiver is skipped only when no requested weighting localized it
-        if len(failures) == len(weightings):
-            result.skipped_receivers[rx_id] = f"localization: {failures[-1]}"
+        by_weighting, reason = process_receiver(
+            est, rx_id, scene, config.ofdm, config.scene.foi, weightings
+        )
+        for w, res in by_weighting.items():
+            single[w][rx_id] = res
+        if reason is not None:
+            result.skipped_receivers[rx_id] = reason
     result.runtimes["pipeline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for mode in modes:
-        if mode.kind == "isac":
-            wanted = [mode.ue_id]
-        else:
-            wanted = sorted(single[mode.weighting].keys())
-        results = [
-            single[mode.weighting][n] for n in wanted if n in single[mode.weighting]
-        ]
+        usable = single[mode.weighting]
+        wanted = [mode.ue_id] if mode.kind == "isac" else sorted(usable)
+        results = [usable[n] for n in wanted if n in usable]
         if not results:
             result.outcomes[mode.name] = ModeOutcome(
                 mode=mode.name,
@@ -645,7 +615,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
             continue
         # clock offsets are identifiable modulo the delay period
         estimate.ue_timing_offsets = {
-            n: wrap_timing_offset(v, period)
+            n: wrap_timing_offset(v, config.ofdm.delay_period)
             for n, v in estimate.ue_timing_offsets.items()
         }
         result.outcomes[mode.name] = _evaluate_mode(

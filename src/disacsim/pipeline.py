@@ -18,6 +18,9 @@ Stages, in order:
    target points and excluded targets.
 5. dbscan / build_associations -- cluster the coarse points across
    receivers and hand the grouping to the fusion center.
+
+process_receiver runs stages 1-4 for one receiver and reports the
+stage-labelled reason when the receiver has to be skipped.
 """
 
 import logging
@@ -34,6 +37,8 @@ from .fusion import (
     run_fusion,
 )
 from .geometry import BORESIGHT_ALONG_X, FoiBounds, direction_from_angles
+from .scene import Scene
+from .waveform import OfdmConfig
 
 logger = logging.getLogger(__name__)
 
@@ -220,6 +225,43 @@ def localize_single(
     return SingleReceiverResult(
         ue_id=ue_id, measurements=measurements, los=los_meas, estimate=estimate
     )
+
+
+def process_receiver(
+    paths: list[EstimatedPath], ue_id: int, scene: Scene, ofdm: OfdmConfig,
+    foi: FoiBounds, weightings: list[str],
+) -> tuple[dict[str, SingleReceiverResult], str | None]:
+    """Stages 1-4 for one receiver, once per weighting.
+
+    Returns (results by weighting, skip reason). The reason is None unless
+    the receiver is lost: "pipeline: ..." when unwrapping, the direct-path
+    pick or the clutter filter fails, and "localization: ..." (the last
+    failure) when no weighting localizes it.
+    """
+    rx = scene.receiver(ue_id)
+    try:
+        unwrapped = unwrap_delays(paths, ofdm.delay_period)
+        los_idx, ambiguous = identify_los(unwrapped, ofdm.delay_resolution)
+        if ambiguous:
+            logger.debug("receiver %d: ambiguous direct-path pick", ue_id)
+        kept = clutter_filter(unwrapped, foi, los_index=los_idx)
+        filtered = [unwrapped[i] for i in kept]
+        new_los = kept.index(los_idx)
+    except Exception as exc:
+        return {}, f"pipeline: {exc}"
+    results, failure = {}, None
+    for w in weightings:
+        try:
+            results[w] = localize_single(
+                filtered, new_los, ue_id=ue_id, rx_orientation=rx.orientation,
+                p_bs=scene.tx.position, speed_of_light=scene.speed_of_light, weighting=w,
+            )
+        except Exception as exc:
+            failure = exc
+    # a receiver is skipped only when no requested weighting localized it
+    if failure is not None and not results:
+        return results, f"localization: {failure}"
+    return results, None
 
 
 # ---------------------------------------------------------------------------

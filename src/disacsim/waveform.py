@@ -80,6 +80,11 @@ class OfdmConfig:
         return 1.0 / self.subcarrier_spacing
 
     @property
+    def delay_resolution(self) -> float:
+        """Delay resolution of the aperture: one over the swept bandwidth."""
+        return 1.0 / (self.subcarrier_spacing * self.num_subcarriers)
+
+    @property
     def tx_amplitude(self) -> float:
         return float(np.sqrt(dbm_to_watts(self.tx_power_dbm)))
 

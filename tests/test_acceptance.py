@@ -61,7 +61,7 @@ def test_criterion_1_oracle_round_trip():
         scene={"num_clutter": 0, "target_extent_m": 0.0, "scatter_points_per_target": 1}
     )
     period = cfg.ofdm.delay_period
-    res_delay = 1.0 / (cfg.ofdm.subcarrier_spacing * cfg.ofdm.num_subcarriers)
+    res_delay = cfg.ofdm.delay_resolution
     worst_ue = worst_to = worst_tgt = 0.0
     t0 = time.perf_counter()
     for seed in range(100):

@@ -10,7 +10,6 @@ from oracles import (
 
 from disacsim.fusion import (
     IllConditionedError,
-    LinearSystem,
     PathMeasurement,
     UnderdeterminedError,
     UnknownLayout,
@@ -56,11 +55,11 @@ def test_layout_column_order():
     layout = UnknownLayout.build([2, 1], {(1, 0), (1, 5), (2, 5)}, [5, 0])
     assert layout.target_ids == [1, 2]
     assert layout.ue_ids == [0, 5]
-    assert layout.col_range(1) == 0 and layout.col_range(2) == 1
+    assert layout.range_cols == {1: 0, 2: 1}
     assert layout.pair_cols == {(1, 0): 2, (1, 5): 3, (2, 5): 4}
-    assert layout.col_offset(0) == 5 and layout.col_offset(5) == 6
-    assert layout.col_position(0) == 7 and layout.col_position(5) == 10
-    assert layout.col_los_range(0) == 13 and layout.col_los_range(5) == 14
+    assert layout.offset_cols == {0: 5, 5: 6}
+    assert layout.position_cols == {0: 7, 5: 10}
+    assert layout.los_range_cols == {0: 13, 5: 14}
     assert layout.num_unknowns == 15
     assert layout.labels[1] == "r[target 2]" and layout.labels[3] == "d[target 1, receiver 5]"
     assert layout.labels[6] == "c*dt[receiver 5]" and layout.labels[9] == "p_z[receiver 0]"
@@ -79,15 +78,6 @@ def test_system_shape_minimal():
     clusters, los = exact_inputs(ue_ids=(0,), target_ids=(0,))
     system = build_joint_system(clusters, los, P_BS, SPEED_OF_LIGHT)
     assert system.matrix.shape == (8, 7)
-
-
-def test_linear_system_validation():
-    layout = UnknownLayout.build([0], {(0, 0)}, [0])
-    a = np.zeros((8, 7))
-    with pytest.raises(ValueError):
-        LinearSystem(matrix=a, rhs=np.zeros(7), weights=np.zeros(8), layout=layout)
-    with pytest.raises(ValueError):
-        LinearSystem(matrix=a, rhs=np.zeros(8), weights=-np.ones(8), layout=layout)
 
 
 def test_build_requires_los():
@@ -170,6 +160,16 @@ def test_solve_wls_rejects_degenerate_systems():
         solve_wls(np.eye(3), np.zeros(2), np.ones(3))
 
 
+def test_solve_wls_rejects_negative_weights():
+    # a negative weight is an error, not a row floored to 1e-12 of the largest
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_wls(np.eye(3), np.zeros(3), np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_wls(np.eye(3), np.zeros(3), -np.ones(3))
+    with pytest.raises(ValueError, match="dimensions"):
+        solve_wls(np.zeros((8, 7)), np.zeros(7), np.zeros(8))
+
+
 def test_solve_wls_duplicate_column():
     rng = np.random.default_rng(9)
     a, b, _ = random_well_conditioned_system(rng, 10, 4)
@@ -248,7 +248,7 @@ def test_extract_estimate_negative_range_excluded():
                                       SPEED_OF_LIGHT, ue_id=0)]}
     }
     x = np.zeros(layout.num_unknowns)
-    x[layout.col_range(0)] = -3.2
+    x[layout.range_cols[0]] = -3.2
     est = extract_estimate(x, layout, clusters, P_BS, SPEED_OF_LIGHT, 0.0)
     assert est.excluded_targets == {0: "negative transmitter range -3.200 m"}
     assert est.target_points == {}
@@ -263,6 +263,6 @@ def test_extract_estimate_degenerate_direction():
     )
     clusters = {0: {0: [mk(1.0), mk(-1.0)]}}
     x = np.zeros(layout.num_unknowns)
-    x[layout.col_range(0)] = 2.0
+    x[layout.range_cols[0]] = 2.0
     est = extract_estimate(x, layout, clusters, P_BS, SPEED_OF_LIGHT, 0.0)
     assert est.excluded_targets == {0: "degenerate direction average"}

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
-from disacsim import harness
+from disacsim import pipeline
 from disacsim.estimator import AlsOptions
 from disacsim.fusion import SceneEstimate
 from disacsim.geometry import BORESIGHT_ALONG_X
@@ -167,6 +168,19 @@ def test_config_rejects_bad_values():
     # more beams than the 16-element BS azimuth axis has
     with pytest.raises(ConfigError, match="beams.bs_az"):
         scenario_from_dict({"schema": SCHEMA, "beams": {"bs_az": 40}})
+    # YAML booleans are not numbers, although bool is a subclass of int
+    with pytest.raises(ConfigError, match=r"^trials: expected an integer >= 1, got True$"):
+        scenario_from_dict({"schema": SCHEMA, "trials": True})
+    with pytest.raises(ConfigError, match=r"^seed: expected an integer >= 0, got False$"):
+        scenario_from_dict({"schema": SCHEMA, "seed": False})
+    with pytest.raises(ConfigError, match=r"^scene\.num_targets: .* got True$"):
+        scenario_from_dict({"schema": SCHEMA, "scene": {"num_targets": True}})
+    with pytest.raises(ConfigError, match=r"^ofdm\.bandwidth_hz: expected a number, got True$"):
+        scenario_from_dict({"schema": SCHEMA, "ofdm": {"bandwidth_hz": True}})
+    # PyYAML reads 100e6 (no dot) as a string; it stays a valid number
+    raw = yaml.safe_load(f"schema: {SCHEMA}\nofdm: {{bandwidth_hz: 100e6}}\n")
+    assert raw["ofdm"]["bandwidth_hz"] == "100e6"
+    assert scenario_from_dict(raw).ofdm.bandwidth == 100e6
 
 
 def test_load_config(tmp_path):
@@ -339,7 +353,7 @@ def test_run_trial_noiseless_is_nearly_exact():
 
 
 def test_run_trial_skips_a_receiver_only_when_every_weighting_fails(monkeypatch):
-    real = harness.localize_single
+    real = pipeline.localize_single
     failing = {"ls"}
 
     def flaky(*args, **kwargs):
@@ -347,7 +361,7 @@ def test_run_trial_skips_a_receiver_only_when_every_weighting_fails(monkeypatch)
             raise RuntimeError("forced failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "localize_single", flaky)
+    monkeypatch.setattr(pipeline, "localize_single", flaky)
     cfg = mini_config()
     modes = [parse_mode("disac"), parse_mode("disac-ls")]
     result = run_trial(cfg, 0, modes)
@@ -358,6 +372,12 @@ def test_run_trial_skips_a_receiver_only_when_every_weighting_fails(monkeypatch)
     failing.add("wls")
     result = run_trial(cfg, 0, modes)
     assert result.skipped_receivers[0] == "localization: forced failure"
+
+
+def test_run_trial_without_modes_skips_no_receiver():
+    result = run_trial(mini_config(), 0, [])
+    assert result.outcomes == {} and result.skipped_receivers == {}
+    assert sorted(result.num_paths) == [0, 1]
 
 
 def test_run_montecarlo_validates_isac_id():

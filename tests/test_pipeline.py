@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
 )
 
 from disacsim.estimator import EstimatedPath
+from disacsim.harness import default_scenario
 from disacsim.geometry import (
     BORESIGHT_ALONG_X,
     AnglePair,
@@ -29,6 +31,7 @@ from disacsim.pipeline import (
     identify_los,
     localize_single,
     path_directions,
+    process_receiver,
     unwrap_delays,
 )
 from disacsim.scene import (
@@ -39,7 +42,9 @@ from disacsim.scene import (
     Scene,
     TransmitterNode,
     UpaGeometry,
+    random_scene,
 )
+from disacsim.waveform import OfdmConfig
 
 ANG = AnglePair(0.1, 0.2)
 PERIOD = 640e-9  # 64 subcarriers at 1.5625 MHz
@@ -292,6 +297,56 @@ def test_path_directions_frames():
     np.testing.assert_allclose(u_bs, u, atol=1e-12)
     np.testing.assert_allclose(u_v, -(rot @ direction_from_angles(aoa)), atol=1e-12)
     assert np.linalg.norm(u_v) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Stages 1-4 for one receiver
+# ---------------------------------------------------------------------------
+
+
+def test_process_receiver_labels_the_failing_stage():
+    scene = _two_target_scene()
+    foi = FoiBounds(azimuth=np.radians(60.0), elevation=np.radians(30.0))
+    args = (0, scene, OfdmConfig(), foi, ["ls", "wls"])
+    assert process_receiver([], *args) == ({}, "pipeline: no paths to choose a direct path from")
+    results, reason = process_receiver(exact_paths(scene, 0)[:1], *args)
+    assert results == {}
+    assert reason.startswith("localization: no reflection paths: ")
+
+
+def test_process_receiver_matches_the_stage_calls():
+    cfg = default_scenario()
+    scene = random_scene(cfg.scene, 0)
+    rx = scene.receiver(0)
+    period = cfg.ofdm.delay_period
+    paths = [replace(p, delay=p.delay % period) for p in exact_paths(scene, 0)]
+    results, reason = process_receiver(
+        paths, 0, scene, cfg.ofdm, cfg.scene.foi, ["ls", "wls"]
+    )
+    assert reason is None and sorted(results) == ["ls", "wls"]
+
+    unwrapped = unwrap_delays(paths, period)
+    los, _ = identify_los(unwrapped, cfg.ofdm.delay_resolution)
+    kept = clutter_filter(unwrapped, cfg.scene.foi, los_index=los)
+    for w, res in results.items():
+        direct = localize_single(
+            [unwrapped[i] for i in kept], kept.index(los), ue_id=0,
+            rx_orientation=rx.orientation, p_bs=scene.tx.position,
+            speed_of_light=scene.speed_of_light, weighting=w,
+        )
+        assert res.estimate.weighting == w
+        records = zip([res.los, *res.measurements], [direct.los, *direct.measurements])
+        for got, want in records:
+            for key, value in vars(want).items():
+                np.testing.assert_array_equal(getattr(got, key), value)
+        assert len(res.measurements) == len(direct.measurements)
+        est, ref = res.estimate, direct.estimate
+        np.testing.assert_array_equal(est.ue_positions[0], ref.ue_positions[0])
+        assert est.ue_timing_offsets == ref.ue_timing_offsets
+        assert est.residual == ref.residual
+        assert est.target_points.keys() == ref.target_points.keys()
+        for m, point in est.target_points.items():
+            np.testing.assert_array_equal(point, ref.target_points[m])
 
 
 # ---------------------------------------------------------------------------

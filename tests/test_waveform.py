@@ -79,6 +79,8 @@ def test_ofdm_defaults():
     ofdm = OfdmConfig()
     assert ofdm.subcarrier_spacing == pytest.approx(1.5625e6)
     assert ofdm.delay_period == pytest.approx(640e-9)
+    # the stock grid sounds the whole band, so the resolution is 1 / bandwidth
+    assert ofdm.delay_resolution == pytest.approx(1.0 / ofdm.bandwidth)
     assert ofdm.tx_amplitude == pytest.approx(np.sqrt(10.0))  # 40 dBm
     assert ofdm.wavelength == pytest.approx(299792458.0 / 15e9)
 
