@@ -28,6 +28,7 @@ import numpy as np
 from .geometry import AnglePair, angles_from_cosines
 from .scene import phase_ramp
 from .waveform import (
+    BLOCK_ENTRIES,
     BeamCodebook,
     MeasurementTensor,
     beam_response,
@@ -284,10 +285,13 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
         _update_mode(factors, grams, 2, _contract_lead(kr, y_de), running)
         kr = _khatri_rao([kr, factors[2].conj()])
         _update_mode(factors, grams, 3, _contract_lead(kr, y_e), running)
-        # second pass: mode e over the updated factors
+        # second pass: mode e over the updated factors. The sweep's largest
+        # temporaries, y_e and kr_all, are freed as soon as they are used
+        del y_e
         kr = _khatri_rao([kr, factors[3].conj()])
         kr_all = kr.transpose(1, 0, 2).reshape(kr.shape[1], -1)
         v_e = (t_mat.T @ kr_all).reshape(n_e, n_run, rank).transpose(1, 0, 2)
+        del kr_all
         g_e = _update_mode(factors, grams, 4, v_e, running)
 
         keep = np.ones(n_run, dtype=bool)
@@ -347,15 +351,30 @@ def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) 
 # ---------------------------------------------------------------------------
 
 
-def _mode_gram(data: np.ndarray, conj_data: np.ndarray, mode: int) -> np.ndarray:
-    """unf unf^H of a mode unfolding, contracted from views of the tensor."""
+def _mode_gram(data: np.ndarray, mode: int) -> np.ndarray:
+    """unf unf^H of a mode unfolding, summed over blocks of the tensor.
+
+    Only one block of at most BLOCK_ENTRIES entries is ever conjugated, so
+    no copy of the whole tensor is made.
+    """
     m = data.shape[mode]
+    gram = np.zeros((m, m), dtype=complex)
     if mode == data.ndim - 1:
-        # one product: the (p, m, 1) slices below would be p outer products
-        return data.reshape(-1, m).T @ conj_data.reshape(-1, m)
+        # row blocks: the (p, m, 1) slices below would be p outer products
+        rows = data.reshape(-1, m)
+        step = max(1, BLOCK_ENTRIES // m)
+        for i in range(0, len(rows), step):
+            c = rows[i:i + step]
+            gram += c.T @ c.conj()
+        return gram
     x = data.reshape(int(np.prod(data.shape[:mode])), m, -1)
-    cx = conj_data.reshape(x.shape)
-    return np.matmul(x, cx.swapaxes(-1, -2)).sum(axis=0)
+    cols = min(x.shape[2], max(1, BLOCK_ENTRIES // m))
+    slices = max(1, BLOCK_ENTRIES // (m * cols))
+    for i in range(0, len(x), slices):
+        for j in range(0, x.shape[2], cols):
+            c = x[i:i + slices, :, j:j + cols]
+            gram += np.matmul(c, c.conj().swapaxes(-1, -2)).sum(axis=0)
+    return gram
 
 
 def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RANK) -> int:
@@ -369,16 +388,16 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
     the largest, for the noiseless case) count as signal; the answer is
     the largest count over modes, capped at max_rank. The singular values
     are the square roots of the eigenvalues of the m x m Gram unf unf^H,
-    which is contracted from the tensor without copying the unfolding.
+    which is summed over blocks of the tensor (see _mode_gram) without
+    copying the unfolding or its conjugate.
     """
     data = tensor.data
     var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
-    conj_data = data.conj()
     best = 0
     for mode in range(data.ndim):
         m = data.shape[mode]
         n = data.size // m
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(_mode_gram(data, conj_data, mode)), 0.0, None))
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(_mode_gram(data, mode)), 0.0, None))
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
         thr = max(NOISE_MARGIN * edge, REL_FLOOR * sv[-1])
         count = int(np.sum(sv > thr))

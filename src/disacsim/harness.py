@@ -4,7 +4,8 @@ A YAML config describes one scenario. Its mandatory ``schema`` field pins
 the config format version so stale files fail loudly instead of being
 misread. Every trial draws a fresh scene (seed = base seed + trial
 index), synthesizes one beamspace tensor per receiver, runs the shared
-estimation chain once, and then evaluates each requested mode on top of
+estimation chain once (the receivers side by side when BLAS leaves cores
+free, see run_trial), and then evaluates each requested mode on top of
 the shared per-receiver results:
 
     disac       all receivers pooled, gain-weighted fusion
@@ -20,7 +21,9 @@ across runs of the same config and seed.
 import csv
 import json
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +60,9 @@ from .waveform import (
 logger = logging.getLogger(__name__)
 
 SCHEMA_ID = "disacsim-config/1"
+
+# environment variables that set the BLAS thread count; the first positive one wins
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def receiver_seed(trial_seed: int, rx_id: int) -> int:
@@ -527,8 +533,58 @@ def _evaluate_mode(
     return out
 
 
+def _receiver_workers(receivers: int) -> int:
+    """Threads that estimate a trial's receivers side by side.
+
+    One per group of cores a receiver's BLAS calls occupy: the cores this
+    process may run on, divided by the BLAS thread count (the first
+    positive integer among _BLAS_THREAD_VARS, else every core), at least 1
+    and at most one per receiver. With BLAS on every core the receivers
+    run one at a time, as concurrent GEMMs would only oversubscribe them.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(receivers, cpus // blas_threads))
+
+
+def _estimate_receiver(config: ScenarioConfig, scene: Scene, rx_id: int, seed: int,
+                       books: CodebookSet) -> tuple[str, object]:
+    """Synthesize and estimate one receiver: ``(stage, paths or the exception)``."""
+    stage = "synthesis"
+    try:
+        tensor = config.receiver_tensor(scene, rx_id, seed, books)
+        stage = "estimation"
+        return stage, estimate_paths(
+            tensor,
+            rank="auto",
+            opts=config.als_options(receiver_seed(seed, rx_id)),
+            max_rank=config.max_rank,
+        )
+    except Exception as exc:
+        return stage, exc
+
+
 def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> TrialResult:
-    """One end-to-end trial shared across the requested modes."""
+    """One end-to-end trial shared across the requested modes.
+
+    The receivers' tensors are synthesized and estimated on a thread pool
+    (see _receiver_workers), which only reads the scene, the codebooks and
+    the config; their outcomes are then taken in receiver order, so the
+    result is the same as estimating them one after the other: the first
+    synthesis failure fails every mode, and an estimation failure skips
+    its receiver.
+    """
     seed = config.seed + trial_index
     result = TrialResult(
         trial=trial_index, seed=seed, outcomes={}, num_paths={}, skipped_receivers={}
@@ -550,25 +606,21 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     result.runtimes["scene"] = time.perf_counter() - t0
 
     books = config.codebooks()
+    rx_ids = [rx.node_id for rx in scene.receivers]
     paths_by_rx: dict[int, list] = {}
     t0 = time.perf_counter()
-    for rx in scene.receivers:
-        try:
-            tensor = config.receiver_tensor(scene, rx.node_id, seed, books)
-        except Exception as exc:
-            return fail_all("synthesis", exc)
-        try:
-            est = estimate_paths(
-                tensor,
-                rank="auto",
-                opts=config.als_options(receiver_seed(seed, rx.node_id)),
-                max_rank=config.max_rank,
-            )
-        except Exception as exc:
-            result.skipped_receivers[rx.node_id] = f"estimation: {exc}"
+    with ThreadPoolExecutor(_receiver_workers(len(rx_ids))) as pool:
+        outcomes = list(pool.map(
+            lambda rx_id: _estimate_receiver(config, scene, rx_id, seed, books), rx_ids
+        ))
+    for rx_id, (stage, value) in zip(rx_ids, outcomes):
+        if isinstance(value, Exception):
+            if stage == "synthesis":
+                return fail_all(stage, value)
+            result.skipped_receivers[rx_id] = f"{stage}: {value}"
             continue
-        result.num_paths[rx.node_id] = len(est)
-        paths_by_rx[rx.node_id] = est
+        result.num_paths[rx_id] = len(value)
+        paths_by_rx[rx_id] = value
     result.runtimes["estimation"] = time.perf_counter() - t0
 
     # per-receiver pipeline, per weighting actually needed

@@ -263,7 +263,8 @@ class MeasurementTensor:
     noise_var: float = 0.0
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
+        # C order makes every unfolding of the estimator a view, not a copy
+        self.data = np.ascontiguousarray(self.data, dtype=complex)
         expected = self.codebooks.beam_shape + (self.ofdm.num_subcarriers,)
         if self.data.shape != expected:
             raise ValueError(
@@ -278,9 +279,12 @@ class MeasurementTensor:
 def rank_one_sum(gains: np.ndarray, stacked: list[np.ndarray]) -> np.ndarray:
     """Order-5 tensor sum_l gains[l] * stacked[0][l] o ... o stacked[4][l].
 
-    stacked[i] has shape (terms, dim_i): one row per rank-1 term.
+    stacked[i] has shape (terms, dim_i): one row per rank-1 term. The
+    result has C order, so that flattening it (vdot, unfoldings) is a view.
     """
-    return np.einsum("l,la,lb,lc,ld,le->abcde", gains, *stacked, optimize=True)
+    return np.ascontiguousarray(
+        np.einsum("l,la,lb,lc,ld,le->abcde", gains, *stacked, optimize=True)
+    )
 
 
 def tensor_from_paths(
@@ -302,6 +306,22 @@ def tensor_from_paths(
     return rank_one_sum(np.asarray(gains), [np.stack([f[i] for f in factors]) for i in range(5)])
 
 
+# entries (256 KiB) of the operand block of one product in the blocked
+# tensor contractions (here and in estimator._mode_gram)
+BLOCK_ENTRIES = 1 << 14
+
+
+def _apply_adjoint(matrix: np.ndarray, x: np.ndarray):
+    """Overwrite the first rows of ``x`` (elements x columns), one per beam,
+    with matrix^H x, a block of columns at a time: each output column
+    depends on its own input column alone, so no second array of x's size
+    is needed."""
+    adjoint = matrix.conj().T
+    step = max(1, BLOCK_ENTRIES // len(x))
+    for j in range(0, x.shape[1], step):
+        x[:len(adjoint), j:j + step] = adjoint @ x[:, j:j + step]
+
+
 def beamspace_noise(
     books: CodebookSet, ofdm: OfdmConfig, noise_var: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -309,25 +329,24 @@ def beamspace_noise(
 
     Element-space circular white noise of variance ``noise_var`` is drawn
     for every (tx beam pair, subcarrier) sounding and pushed through the
-    per-axis combiner adjoints.
+    per-axis combiner adjoints, in place: the element noise is the only
+    array of the tensor's size, and the result is a view of it.
     """
     m_el, m_az, mt_el, mt_az = books.beam_shape
     n_y = books.rx_geom.n_y
     n_x = books.rx_geom.n_x
     k = ofdm.num_subcarriers
-    scale = np.sqrt(noise_var / 2.0)
-    z = scale * (
-        rng.standard_normal((n_y, n_x, mt_el, mt_az, k))
-        + 1j * rng.standard_normal((n_y, n_x, mt_el, mt_az, k))
-    )
-    # apply W_el^H on the y axis and W_az^H on the x axis
-    return np.einsum(
-        "ya,xb,yxcde->abcde",
-        books.rx_el.matrix.conj(),
-        books.rx_az.matrix.conj(),
-        z,
-        optimize=True,
-    )
+    z = np.empty((n_y, n_x, mt_el * mt_az * k), dtype=complex)
+    # every real part, then every imaginary part, drawn one y row at a time
+    for part in (z.real, z.imag):
+        for row in part:
+            row[...] = rng.standard_normal(row.shape)
+    z *= np.sqrt(noise_var / 2.0)
+    # W_el^H on the y axis, then W_az^H on the x axis of each el beam
+    _apply_adjoint(books.rx_el.matrix, z.reshape(n_y, -1))
+    for a in range(m_el):
+        _apply_adjoint(books.rx_az.matrix, z[a])
+    return z[:m_el, :m_az].reshape(m_el, m_az, mt_el, mt_az, k)
 
 
 def expected_noise_energy(books: CodebookSet, ofdm: OfdmConfig, noise_var: float) -> float:
@@ -369,7 +388,7 @@ def synthesize_tensor(
     rng = np.random.Generator(np.random.Philox(key=[noise_seed, 1]))
     data = signal
     if noise_var > 0.0:
-        data = data + beamspace_noise(books, ofdm, noise_var, rng)
+        data += beamspace_noise(books, ofdm, noise_var, rng)
     return MeasurementTensor(data=data, codebooks=books, ofdm=ofdm, noise_var=noise_var)
 
 

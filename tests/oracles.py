@@ -180,6 +180,25 @@ def svd_model_order(tensor, max_rank):
     return min(best, max_rank)
 
 
+def einsum_beamspace_noise(books, ofdm, noise_var, rng):
+    """``beamspace_noise`` as one einsum over the scaled element noise: the
+    same draws (real parts, then imaginary parts) through both combiner
+    adjoints at once."""
+    m_el, m_az, mt_el, mt_az = books.beam_shape
+    shape = (books.rx_geom.n_y, books.rx_geom.n_x, mt_el, mt_az, ofdm.num_subcarriers)
+    z = np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return np.einsum(
+        "ya,xb,yxcde->abcde", books.rx_el.matrix.conj(), books.rx_az.matrix.conj(), z,
+        optimize=True,
+    )
+
+
+def unfolding_gram(data, mode):
+    """unf unf^H of a copied mode unfolding, in one product."""
+    unf = np.moveaxis(data, mode, 0).reshape(data.shape[mode], -1)
+    return unf @ unf.conj().T
+
+
 # ---------------------------------------------------------------------------
 # Exact measurement construction from ground-truth geometry
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from disacsim import estimator
 from disacsim.estimator import (
     DEFAULT_MAX_RANK,
     AlsOptions,
@@ -29,7 +30,7 @@ from disacsim.waveform import (
     synthesize_tensor,
     tensor_from_paths,
 )
-from oracles import reference_als, svd_model_order
+from oracles import reference_als, svd_model_order, unfolding_gram
 
 RX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
 TX_GEOM = UpaGeometry(8, 8, 0.01, 0.02)
@@ -361,6 +362,20 @@ def test_model_order_from_grams_counts_as_the_svd():
     for tensor in tensors:
         for cap in (DEFAULT_MAX_RANK, 2):
             assert select_model_order(tensor, max_rank=cap) == svd_model_order(tensor, cap)
+
+
+@pytest.mark.parametrize("block", [estimator.BLOCK_ENTRIES, 100, 2000])
+def test_mode_grams_are_the_one_shot_products(monkeypatch, block):
+    # 100 and 2000 entries split the stock tensor's unfoldings unevenly,
+    # by columns and, for 2000, by several slices at once
+    monkeypatch.setattr(estimator, "BLOCK_ENTRIES", block)
+    config = default_scenario()
+    scene = random_scene(config.scene, 0)
+    data = config.receiver_tensor(scene, 0, 0, config.codebooks()).data
+    for mode in range(data.ndim):
+        ref = unfolding_gram(data, mode)
+        gram = estimator._mode_gram(data, mode)
+        assert np.linalg.norm(gram - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_model_order_respects_cap():

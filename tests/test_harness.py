@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from disacsim import pipeline
-from disacsim.estimator import AlsOptions
+from disacsim import harness, pipeline
+from disacsim.estimator import AlsOptions, estimate_paths
 from disacsim.fusion import SceneEstimate
 from disacsim.geometry import BORESIGHT_ALONG_X
 from disacsim.harness import (
@@ -16,6 +20,7 @@ from disacsim.harness import (
     Mode,
     ModeOutcome,
     MonteCarloResult,
+    ScenarioConfig,
     TrialResult,
     default_scenario,
     load_config,
@@ -23,6 +28,7 @@ from disacsim.harness import (
     median,
     parse_mode,
     percentile,
+    receiver_seed,
     run_montecarlo,
     run_trial,
     scenario_from_dict,
@@ -37,6 +43,7 @@ from disacsim.scene import (
     Scene,
     TransmitterNode,
     UpaGeometry,
+    random_scene,
     scene_from_dict,
     scene_to_dict,
 )
@@ -378,6 +385,133 @@ def test_run_trial_without_modes_skips_no_receiver():
     result = run_trial(mini_config(), 0, [])
     assert result.outcomes == {} and result.skipped_receivers == {}
     assert sorted(result.num_paths) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Concurrent receivers
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def four_cpus_one_blas_thread(monkeypatch):
+    """Room for four receivers at once, whatever machine runs the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.mark.parametrize("receivers", [2, 3, 4])
+def test_concurrent_receivers_give_the_serial_json(monkeypatch, four_cpus_one_blas_thread,
+                                                   receivers):
+    cfg = mini_config(num_receivers=receivers)
+    assert harness._receiver_workers(receivers) == receivers
+    modes = [parse_mode(m) for m in ("disac", "disac-ls", "isac:1")]
+    # more workers than most machines have cores, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(harness, "_receiver_workers", lambda receivers: 1)
+    serial = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
+    assert json.dumps(concurrent, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_a_failed_estimate_skips_only_its_receiver(monkeypatch, four_cpus_one_blas_thread):
+    cfg = mini_config()
+    real = harness.estimate_paths
+
+    def flaky(tensor, **kwargs):
+        if kwargs["opts"].seed == receiver_seed(cfg.seed, 1):
+            raise RuntimeError("forced failure")
+        return real(tensor, **kwargs)
+
+    modes = [parse_mode("disac")]
+    serial = run_trial(cfg, 0, modes)
+    monkeypatch.setattr(harness, "estimate_paths", flaky)
+    result = run_trial(cfg, 0, modes)
+    assert result.skipped_receivers == {1: "estimation: forced failure"}
+    assert result.num_paths == {0: serial.num_paths[0]}
+
+
+def test_a_failed_synthesis_fails_every_mode(monkeypatch, four_cpus_one_blas_thread):
+    cfg = mini_config()
+    modes = [parse_mode(m) for m in cfg.modes]
+    serial = run_trial(cfg, 0, modes)
+    real = ScenarioConfig.receiver_tensor
+
+    def flaky(self, scene, rx_id, seed, books):
+        if rx_id == 1:
+            raise RuntimeError("forced failure")
+        return real(self, scene, rx_id, seed, books)
+
+    monkeypatch.setattr(ScenarioConfig, "receiver_tensor", flaky)
+    result = run_trial(cfg, 0, modes)
+    assert {m: o.failure for m, o in result.outcomes.items()} == {
+        m.name: "synthesis: forced failure" for m in modes
+    }
+    assert result.num_paths == {0: serial.num_paths[0]}
+    assert result.skipped_receivers == {}
+
+
+def test_run_montecarlo_leaves_no_thread_behind(four_cpus_one_blas_thread):
+    before = threading.active_count()
+    run_montecarlo(mini_config(), trials=3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("env, receivers, workers", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+    ({}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "x"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "x", "MKL_NUM_THREADS": "1"}, 4, 2),
+    ({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+])
+def test_receiver_workers_on_two_cpus(monkeypatch, env, receivers, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert harness._receiver_workers(receivers) == workers
+
+
+def test_receiver_workers_count_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert harness._receiver_workers(4) == 3
+
+
+# traced peak of one stock receiver's tensor synthesis and estimation, the
+# 2 MiB tensor included: 4.26 MiB measured, plus 0.5 MiB. With the noise
+# through one einsum and the model order on conjugated copies of the whole
+# tensor it was 10.0 MiB
+RECEIVER_PEAK_MIB = 4.75
+
+
+def test_one_receiver_stays_within_its_memory_budget():
+    cfg = default_scenario(estimation={"max_sweeps": 5})
+    scene = random_scene(cfg.scene, cfg.seed)
+    books = cfg.codebooks()
+
+    def estimate_one():
+        tensor = cfg.receiver_tensor(scene, 0, cfg.seed, books)
+        estimate_paths(tensor, rank="auto", opts=cfg.als_options(receiver_seed(cfg.seed, 0)),
+                       max_rank=cfg.max_rank)
+
+    estimate_one()  # first calls allocate once for good
+    tracemalloc.start()
+    try:
+        estimate_one()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RECEIVER_PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_run_montecarlo_validates_isac_id():

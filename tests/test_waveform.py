@@ -5,6 +5,7 @@ import pytest
 
 from disacsim.estimator import AlsOptions, cpd_als
 from disacsim.geometry import AnglePair, BORESIGHT_ALONG_X
+from disacsim.harness import default_scenario
 from disacsim.scene import (
     LABEL_LOS,
     PathRecord,
@@ -33,6 +34,7 @@ from disacsim.waveform import (
     synthesize_tensor,
     tensor_from_paths,
 )
+from oracles import einsum_beamspace_noise
 
 RX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
 TX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
@@ -279,6 +281,15 @@ def test_measurement_tensor_shape_validation():
         )
 
 
+def test_measurement_tensor_stores_c_order():
+    books = small_books()
+    ofdm = OfdmConfig(num_subcarriers=8)
+    data = np.arange(8 * 2 * 2 * 4 * 4, dtype=complex).reshape(8, 2, 2, 4, 4).T
+    tensor = MeasurementTensor(data=data, codebooks=books, ofdm=ofdm)
+    assert tensor.data.flags.c_contiguous
+    assert np.array_equal(tensor.data, data)
+
+
 # ---------------------------------------------------------------------------
 # Noise
 # ---------------------------------------------------------------------------
@@ -325,6 +336,30 @@ def test_noise_covariance_kronecker_small():
     )
     err = np.linalg.norm(sample - expected) / np.linalg.norm(expected)
     assert err < 0.08
+
+
+@pytest.mark.parametrize("which", ["stock", "small", "fewer_az_beams"])
+def test_beamspace_noise_is_the_einsum(which):
+    # bit for bit where the einsum also contracts the elevation axis first;
+    # with fewer azimuth than elevation beams it goes the other way round
+    books = {
+        "stock": lambda: default_scenario().codebooks(),
+        "small": small_books,
+        "fewer_az_beams": lambda: CodebookSet(
+            rx_el=dft_codebook(4, 3, "rx_el"), rx_az=dft_codebook(4, 2, "rx_az"),
+            tx_el=dft_codebook(4, 2, "tx_el"), tx_az=dft_codebook(4, 3, "tx_az"),
+            rx_geom=RX_GEOM, tx_geom=TX_GEOM,
+        ),
+    }[which]()
+    ofdm = OfdmConfig() if which == "stock" else OfdmConfig(num_subcarriers=8)
+    for seed in range(20):
+        mine, ref = (np.random.Generator(np.random.Philox(key=[seed, 1])) for _ in range(2))
+        noise = beamspace_noise(books, ofdm, 0.37, mine)
+        expected = einsum_beamspace_noise(books, ofdm, 0.37, ref)
+        if which == "fewer_az_beams":
+            np.testing.assert_allclose(noise, expected, rtol=0.0, atol=1e-14)
+        else:
+            assert np.array_equal(noise, expected)
 
 
 # ---------------------------------------------------------------------------
