@@ -22,8 +22,9 @@ import csv
 import json
 import logging
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -534,7 +535,7 @@ def _evaluate_mode(
 
 
 def _receiver_workers(receivers: int) -> int:
-    """Threads that estimate a trial's receivers side by side.
+    """Processes that estimate a trial's receivers side by side.
 
     One per group of cores a receiver's BLAS calls occupy: the cores this
     process may run on, divided by the BLAS thread count (the first
@@ -575,15 +576,107 @@ def _estimate_receiver(config: ScenarioConfig, scene: Scene, rx_id: int, seed: i
         return stage, exc
 
 
+def _fork(task) -> tuple[int, int]:
+    """Run ``task()`` in a forked child: ``(pid, read end of its pipe)``.
+
+    The child writes the pickled result to the pipe and exits with status
+    0; if ``task`` or the pickling raises, it exits with status 1 and
+    writes nothing. It leaves through ``os._exit`` either way, so nothing
+    inherited from this process (buffers, exit handlers) runs twice.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            data = pickle.dumps(task(), pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, read_fd: int):
+    """A forked child's unpickled result, or None if it left none.
+
+    The child is reaped even if reading is interrupted: with the read end
+    closed, its write fails and it exits.
+    """
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return None
+    try:
+        return pickle.loads(data)
+    except Exception:  # e.g. an exception type that cannot be rebuilt
+        return None
+
+
+def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int], seed: int,
+                        books: CodebookSet) -> list[tuple[str, object]]:
+    """Each receiver's ``_estimate_receiver`` outcome, in the order of ``rx_ids``.
+
+    With w = _receiver_workers(receivers) > 1, receivers j, j + w, ... go
+    to forked child process j for j = 1 .. w - 1, while this process does
+    receivers 0, w, ...; the children send their outcomes back pickled.
+    Processes, not threads: ALS holds the GIL between its GEMMs, and on a
+    shared two-core virtual machine two threads passing it back and forth
+    took 1.2-2.4 s per stock trial from run to run, against 0.9-1.05 s
+    for two processes and 1.75-2.1 s one at a time. Receivers whose child
+    could not be forked or left no result are done here, so the outcomes
+    are those of the one-at-a-time loop in every case.
+    """
+    workers = _receiver_workers(len(rx_ids)) if hasattr(os, "fork") else 1
+
+    def run(j):
+        return [_estimate_receiver(config, scene, rx_id, seed, books)
+                for rx_id in rx_ids[j::workers]]
+
+    outcomes = [None] * len(rx_ids)
+    children = []
+    try:
+        for j in range(1, workers):
+            try:
+                children.append((j, *_fork(lambda j=j: run(j))))
+            except OSError:  # no process to spare
+                break
+        forked = {j for j, _, _ in children}
+        for j in range(workers):
+            if j not in forked:
+                outcomes[j::workers] = run(j)
+        while children:
+            j, pid, read_fd = children.pop(0)
+            result = _collect(pid, read_fd)
+            outcomes[j::workers] = run(j) if result is None else result
+        return outcomes
+    finally:
+        for _, pid, read_fd in children:  # not yet collected: this process raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+
+
 def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> TrialResult:
     """One end-to-end trial shared across the requested modes.
 
-    The receivers' tensors are synthesized and estimated on a thread pool
-    (see _receiver_workers), which only reads the scene, the codebooks and
-    the config; their outcomes are then taken in receiver order, so the
-    result is the same as estimating them one after the other: the first
-    synthesis failure fails every mode, and an estimation failure skips
-    its receiver.
+    The receivers' tensors are synthesized and estimated side by side in
+    forked processes (see _estimate_receivers), which only read the scene,
+    the codebooks and the config; their outcomes are then taken in
+    receiver order, so the result is the same as estimating them one after
+    the other: the first synthesis failure fails every mode, and an
+    estimation failure skips its receiver.
     """
     seed = config.seed + trial_index
     result = TrialResult(
@@ -605,14 +698,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
         return fail_all("scene", exc)
     result.runtimes["scene"] = time.perf_counter() - t0
 
-    books = config.codebooks()
     rx_ids = [rx.node_id for rx in scene.receivers]
     paths_by_rx: dict[int, list] = {}
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(_receiver_workers(len(rx_ids))) as pool:
-        outcomes = list(pool.map(
-            lambda rx_id: _estimate_receiver(config, scene, rx_id, seed, books), rx_ids
-        ))
+    outcomes = _estimate_receivers(config, scene, rx_ids, seed, config.codebooks())
     for rx_id, (stage, value) in zip(rx_ids, outcomes):
         if isinstance(value, Exception):
             if stage == "synthesis":

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import os
-import sys
 import threading
 import tracemalloc
 
@@ -405,13 +404,7 @@ def test_concurrent_receivers_give_the_serial_json(monkeypatch, four_cpus_one_bl
     cfg = mini_config(num_receivers=receivers)
     assert harness._receiver_workers(receivers) == receivers
     modes = [parse_mode(m) for m in ("disac", "disac-ls", "isac:1")]
-    # more workers than most machines have cores, switching threads often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        concurrent = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
-    finally:
-        sys.setswitchinterval(interval)
+    concurrent = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
     monkeypatch.setattr(harness, "_receiver_workers", lambda receivers: 1)
     serial = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
     assert json.dumps(concurrent, sort_keys=True) == json.dumps(serial, sort_keys=True)
@@ -458,6 +451,78 @@ def test_run_montecarlo_leaves_no_thread_behind(four_cpus_one_blas_thread):
     before = threading.active_count()
     run_montecarlo(mini_config(), trials=3)
     assert threading.active_count() == before
+
+
+def no_child_process_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)  # (0, 0) while a child runs, its pid once it ended
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_run_montecarlo_leaves_no_child_process_behind(four_cpus_one_blas_thread):
+    run_montecarlo(mini_config(), trials=3)
+    assert no_child_process_left()
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def test_an_interrupted_trial_leaves_no_child_process_behind(monkeypatch,
+                                                             four_cpus_one_blas_thread):
+    parent = os.getpid()
+    real = harness.estimate_paths
+
+    def interrupted_here(tensor, **kwargs):
+        if os.getpid() == parent:
+            raise Interrupt
+        return real(tensor, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_paths", interrupted_here)
+    with pytest.raises(Interrupt):
+        run_trial(mini_config(), 0, [parse_mode("disac")])
+    assert no_child_process_left()
+
+
+def test_a_receiver_whose_process_dies_is_estimated_again(monkeypatch,
+                                                          four_cpus_one_blas_thread):
+    cfg = mini_config(num_receivers=3)
+    modes = [parse_mode(m) for m in cfg.modes]
+    serial = run_trial(cfg, 0, modes).canonical_dict()
+    parent = os.getpid()
+    real = harness.estimate_paths
+
+    def dies_in_a_child(tensor, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(tensor, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_paths", dies_in_a_child)
+    assert run_trial(cfg, 0, modes).canonical_dict() == serial
+
+
+class TwoPartError(RuntimeError):
+    """Pickles, but cannot be rebuilt from its pickle (one arg, two wanted)."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def test_an_error_that_cannot_cross_processes_still_skips_its_receiver(
+        monkeypatch, four_cpus_one_blas_thread):
+    cfg = mini_config()
+    real = harness.estimate_paths
+
+    def flaky(tensor, **kwargs):
+        if kwargs["opts"].seed == receiver_seed(cfg.seed, 1):
+            raise TwoPartError("forced", "failure")
+        return real(tensor, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_paths", flaky)
+    result = run_trial(cfg, 0, [parse_mode("disac")])
+    assert result.skipped_receivers == {1: "estimation: forced failure"}
 
 
 @pytest.mark.parametrize("env, receivers, workers", [
