@@ -4,9 +4,10 @@ A YAML config describes one scenario. Its mandatory ``schema`` field pins
 the config format version so stale files fail loudly instead of being
 misread. Every trial draws a fresh scene (seed = base seed + trial
 index), synthesizes one beamspace tensor per receiver, runs the shared
-estimation chain once (the receivers side by side when BLAS leaves cores
-free, see run_trial), and then evaluates each requested mode on top of
-the shared per-receiver results:
+estimation chain once (the receivers side by side, in processes started
+through multiprocessing's fork context, when BLAS leaves cores free; see
+run_trial), and then evaluates each requested mode on top of the shared
+per-receiver results:
 
     disac       all receivers pooled, gain-weighted fusion
     disac-ls    same, unit weights in every least-squares solve
@@ -21,9 +22,8 @@ across runs of the same config and seed.
 import csv
 import json
 import logging
+import multiprocessing
 import os
-import pickle
-import signal
 import time
 from dataclasses import dataclass, field
 
@@ -149,6 +149,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _positive(value) -> float:
+    number = _number(value)
+    if not number > 0:  # NaN fails too
+        raise ValueError(f"expected a number > 0, got {value!r}")
+    return number
+
+
 def _snr_db(value) -> float | None:
     return None if value is None else _number(value)
 
@@ -216,8 +223,8 @@ _CONFIG_KEYS = {
         "max_sweeps": _integer(1),
         "rel_tol": _number,
     }),
-    "clustering": (None, {"eps_m": _number, "min_points": _integer(1)}),
-    "metrics": (None, {"detection_radius_m": _number}),
+    "clustering": (None, {"eps_m": _positive, "min_points": _integer(1)}),
+    "metrics": (None, {"detection_radius_m": _positive}),
 }
 
 
@@ -576,69 +583,25 @@ def _estimate_receiver(config: ScenarioConfig, scene: Scene, rx_id: int, seed: i
         return stage, exc
 
 
-def _fork(task) -> tuple[int, int]:
-    """Run ``task()`` in a forked child: ``(pid, read end of its pipe)``.
-
-    The child writes the pickled result to the pipe and exits with status
-    0; if ``task`` or the pickling raises, it exits with status 1 and
-    writes nothing. It leaves through ``os._exit`` either way, so nothing
-    inherited from this process (buffers, exit handlers) runs twice.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            data = pickle.dumps(task(), pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect(pid: int, read_fd: int):
-    """A forked child's unpickled result, or None if it left none.
-
-    The child is reaped even if reading is interrupted: with the read end
-    closed, its write fails and it exits.
-    """
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return None
-    try:
-        return pickle.loads(data)
-    except Exception:  # e.g. an exception type that cannot be rebuilt
-        return None
-
-
 def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int], seed: int,
                         books: CodebookSet) -> list[tuple[str, object]]:
     """Each receiver's ``_estimate_receiver`` outcome, in the order of ``rx_ids``.
 
     With w = _receiver_workers(receivers) > 1, receivers j, j + w, ... go
-    to forked child process j for j = 1 .. w - 1, while this process does
-    receivers 0, w, ...; the children send their outcomes back pickled.
-    Processes, not threads: ALS holds the GIL between its GEMMs, and on a
-    shared two-core virtual machine two threads passing it back and forth
-    took 1.2-2.4 s per stock trial from run to run, against 0.9-1.05 s
-    for two processes and 1.75-2.1 s one at a time. Receivers whose child
-    could not be forked or left no result are done here, so the outcomes
-    are those of the one-at-a-time loop in every case.
+    to child process j for j = 1 .. w - 1, forked through multiprocessing,
+    while this process does receivers 0, w, ...; the children send their
+    outcomes back through one-way pipes. Processes, not threads: ALS holds
+    the GIL between its GEMMs, and on a shared two-core virtual machine
+    two threads passing it back and forth took 1.2-2.4 s per stock trial
+    from run to run, against 0.9-1.05 s for two processes and 1.75-2.1 s
+    one at a time. Receivers whose child could not start, died, or sent
+    an outcome that does not unpickle are done here, so the outcomes are
+    those of the one-at-a-time loop in every case.
     """
-    workers = _receiver_workers(len(rx_ids)) if hasattr(os, "fork") else 1
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    # a daemonic process, such as a pool worker, may have no children
+    daemonic = multiprocessing.current_process().daemon
+    workers = _receiver_workers(len(rx_ids)) if can_fork and not daemonic else 1
 
     def run(j):
         return [_estimate_receiver(config, scene, rx_id, seed, books)
@@ -649,31 +612,39 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
     try:
         for j in range(1, workers):
             try:
-                children.append((j, *_fork(lambda j=j: run(j))))
-            except OSError:  # no process to spare
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.get_context("fork").Process(
+                    target=lambda j=j, writer=writer: writer.send(run(j)), daemon=True)
+                with writer:  # then the child holds the only write end: its death reads as EOF
+                    child.start()
+            except OSError:  # no pipe or process to spare (an unused read end closes on return)
                 break
-        forked = {j for j, _, _ in children}
-        for j in range(workers):
-            if j not in forked:
+            children.append((j, child, reader))
+        for j in [0, *range(len(children) + 1, workers)]:  # workers without a child
+            outcomes[j::workers] = run(j)
+        for j, _, reader in children:
+            try:
+                outcomes[j::workers] = reader.recv()
+            except Exception:  # EOFError: the child died; else its outcome did not unpickle
                 outcomes[j::workers] = run(j)
-        while children:
-            j, pid, read_fd = children.pop(0)
-            result = _collect(pid, read_fd)
-            outcomes[j::workers] = run(j) if result is None else result
         return outcomes
+    except BaseException:
+        for _, child, _ in children:
+            child.kill()
+        raise
     finally:
-        for _, pid, read_fd in children:  # not yet collected: this process raised
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
+        for _, child, reader in children:
+            child.join()
+            reader.close()
 
 
 def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> TrialResult:
     """One end-to-end trial shared across the requested modes.
 
     The receivers' tensors are synthesized and estimated side by side in
-    forked processes (see _estimate_receivers), which only read the scene,
-    the codebooks and the config; their outcomes are then taken in
+    processes forked through multiprocessing (see _estimate_receivers),
+    which only read the scene, the codebooks and the config, so nothing
+    but the outcomes is pickled; the outcomes are then taken in
     receiver order, so the result is the same as estimating them one after
     the other: the first synthesis failure fails every mode, and an
     estimation failure skips its receiver.
@@ -802,8 +773,10 @@ class MonteCarloResult:
                 "trials": len(self.trials),
                 "failed_trials": failed,
                 "ue_error_median_m": median(ue_errs) if ue_errs else None,
+                "ue_error_p80_m": percentile(ue_errs, 0.8) if ue_errs else None,
                 "to_error_median_s": median(to_errs) if to_errs else None,
                 "target_error_median_m": median(tgt_errs) if tgt_errs else None,
+                "target_error_p80_m": percentile(tgt_errs, 0.8) if tgt_errs else None,
                 "targets_detected": detected,
                 "targets_total": total_targets,
                 "detection_rate": (detected / total_targets) if total_targets else None,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -183,6 +184,13 @@ def test_config_rejects_bad_values():
         scenario_from_dict({"schema": SCHEMA, "scene": {"num_targets": True}})
     with pytest.raises(ConfigError, match=r"^ofdm\.bandwidth_hz: expected a number, got True$"):
         scenario_from_dict({"schema": SCHEMA, "ofdm": {"bandwidth_hz": True}})
+    # a clustering radius or detection radius of zero or less would spend the
+    # whole estimation and then fail every mode, or silently detect nothing
+    for section, key, value in [("clustering", "eps_m", 0), ("clustering", "eps_m", -2),
+                                ("metrics", "detection_radius_m", -1),
+                                ("metrics", "detection_radius_m", float("nan"))]:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a number > 0"):
+            scenario_from_dict({"schema": SCHEMA, section: {key: value}})
     # PyYAML reads 100e6 (no dot) as a string; it stays a valid number
     raw = yaml.safe_load(f"schema: {SCHEMA}\nofdm: {{bandwidth_hz: 100e6}}\n")
     assert raw["ofdm"]["bandwidth_hz"] == "100e6"
@@ -466,6 +474,30 @@ def test_run_montecarlo_leaves_no_child_process_behind(four_cpus_one_blas_thread
     assert no_child_process_left()
 
 
+def test_a_trial_without_a_process_to_spare_runs_its_receivers_here(
+        monkeypatch, four_cpus_one_blas_thread):
+    cfg = mini_config(num_receivers=3)
+    modes = [parse_mode(m) for m in cfg.modes]
+    serial = run_trial(cfg, 0, modes).canonical_dict()
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_trial(cfg, 0, modes).canonical_dict() == serial
+    assert no_child_process_left()
+
+
+def test_a_daemonic_process_runs_its_receivers_itself(monkeypatch, four_cpus_one_blas_thread):
+    # a pool worker is daemonic, and multiprocessing lets no daemonic process have children
+    cfg = mini_config()
+    modes = [parse_mode(m) for m in cfg.modes]
+    serial = run_trial(cfg, 0, modes).canonical_dict()
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert run_trial(cfg, 0, modes).canonical_dict() == serial
+    assert no_child_process_left()
+
+
 class Interrupt(BaseException):
     pass
 
@@ -510,14 +542,23 @@ class TwoPartError(RuntimeError):
         super().__init__(f"{first} {second}")
 
 
+class LockedError(RuntimeError):
+    """Cannot be pickled at all: it holds a lock."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("error", [TwoPartError, LockedError])
 def test_an_error_that_cannot_cross_processes_still_skips_its_receiver(
-        monkeypatch, four_cpus_one_blas_thread):
+        monkeypatch, four_cpus_one_blas_thread, error):
     cfg = mini_config()
     real = harness.estimate_paths
 
     def flaky(tensor, **kwargs):
         if kwargs["opts"].seed == receiver_seed(cfg.seed, 1):
-            raise TwoPartError("forced", "failure")
+            raise error("forced", "failure")
         return real(tensor, **kwargs)
 
     monkeypatch.setattr(harness, "estimate_paths", flaky)
@@ -603,6 +644,8 @@ def test_summary_denominators():
     s = mc.summary()["disac"]
     assert s["trials"] == 3 and s["failed_trials"] == 1
     assert s["ue_error_median_m"] == pytest.approx(0.1)
+    assert s["ue_error_p80_m"] == pytest.approx(0.16)  # 0.1 + (0.8 - 1/2) * 2 * (0.2 - 0.1)
+    assert s["target_error_p80_m"] == pytest.approx(0.3)
     assert s["targets_detected"] == 1 and s["targets_total"] == 2
     assert s["detection_rate"] == pytest.approx(0.5)
 
@@ -611,6 +654,7 @@ def test_summary_empty_mode():
     mc = MonteCarloResult(config={}, modes=["disac"], trials=[])
     s = mc.summary()["disac"]
     assert s["ue_error_median_m"] is None
+    assert s["ue_error_p80_m"] is None and s["target_error_p80_m"] is None
     assert s["detection_rate"] is None
 
 
