@@ -62,10 +62,9 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     scene_path = os.path.join(args.out_dir, "scene.json")
     write_scene(scene, scene_path)
-    books = config.codebooks()
     written = [scene_path]
     for rx in scene.receivers:
-        tensor = config.receiver_tensor(scene, rx.node_id, config.seed, books)
+        tensor = config.receiver_tensor(scene, rx.node_id, config.seed)
         prefix = os.path.join(args.out_dir, f"tensor_rx{rx.node_id}")
         written.extend(export_tensor(tensor, prefix))
     for path in written:

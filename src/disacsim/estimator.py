@@ -73,6 +73,8 @@ class AlsOptions:
     def __post_init__(self):
         if self.max_sweeps < 1 or self.restarts < 1:
             raise ValueError("max_sweeps and restarts must be at least 1")
+        if not self.rel_tol >= 0.0:  # NaN fails too; below 0 the tolerance stop never fires
+            raise ValueError(f"rel_tol must be a number >= 0, got {self.rel_tol!r}")
 
 
 @dataclass

@@ -22,10 +22,11 @@ across runs of the same config and seed.
 import csv
 import json
 import logging
+import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -47,10 +48,8 @@ from .scene import (
     UpaGeometry,
     check_box,
     random_scene,
-    scene_to_dict,
 )
 from .waveform import (
-    AXIS_LABELS,
     CodebookSet,
     OfdmConfig,
     axis_elements,
@@ -64,6 +63,11 @@ SCHEMA_ID = "disacsim-config/1"
 
 # environment variables that set the BLAS thread count; the first positive one wins
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# set once a child process could not start: every failed fork leaks the two
+# pipes multiprocessing opened for it (4 descriptors), so the trials after it
+# run their receivers in this process instead of leaking 4 more each
+_no_process_to_spare = False
 
 
 def receiver_seed(trial_seed: int, rx_id: int) -> int:
@@ -143,17 +147,19 @@ def _modes(value) -> tuple[str, ...]:
 
 
 def _number(value) -> float:
-    """A number setting; numeric strings pass, as YAML reads 100e6 as one."""
+    """A finite number setting; numeric strings pass, as YAML reads 100e6 as one."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):  # YAML's .nan and .inf would only fail a trial later
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _positive(value) -> float:
-    number = _number(value)
-    if not number > 0:  # NaN fails too
+    if not float(value) > 0:  # NaN fails here, +inf in _number
         raise ValueError(f"expected a number > 0, got {value!r}")
-    return number
+    return _number(value)
 
 
 def _snr_db(value) -> float | None:
@@ -177,6 +183,7 @@ _BEAM = (_integer(1), {"num": ("num_beams", _integer(1)), "first": ("first_beam"
 _BEAMS_KEYS = {"bs_az": ("tx_az", _BEAM), "bs_el": ("tx_el", _BEAM),
                "ue_az": ("rx_az", _BEAM), "ue_el": ("rx_el", _BEAM)}
 _ARRAY_KEYS = {"n_x": _integer(1), "n_y": _integer(1)}
+_ALS_KEYS = {"restarts": _integer(1), "max_sweeps": _integer(1), "rel_tol": _number}
 _CONFIG_KEYS = {
     "seed": _integer(0),
     "trials": _integer(1),
@@ -216,13 +223,7 @@ _CONFIG_KEYS = {
         "clutter_reflectivity_range": _float_pair,
         "max_attempts": _integer(1),
     },
-    "estimation": (None, {
-        "effective_snr_db": _snr_db,
-        "max_rank": _integer(1),
-        "restarts": _integer(1),
-        "max_sweeps": _integer(1),
-        "rel_tol": _number,
-    }),
+    "estimation": (None, {"effective_snr_db": _snr_db, "max_rank": _integer(1), **_ALS_KEYS}),
     "clustering": (None, {"eps_m": _positive, "min_points": _integer(1)}),
     "metrics": (None, {"detection_radius_m": _positive}),
 }
@@ -278,14 +279,10 @@ class ScenarioConfig:
 
     ofdm: OfdmConfig
     scene: SceneConfig
-    bs_geom: UpaGeometry
-    ue_geom: UpaGeometry
-    beams: dict[str, tuple[int, int | None]]  # axis -> (count, first beam)
+    books: CodebookSet  # every receiver's codebooks, on scene.tx_array and scene.rx_array
+    als: AlsOptions  # each receiver runs it with its own seed
     effective_snr_db: float | None = 20.0
     max_rank: int = DEFAULT_MAX_RANK
-    restarts: int = AlsOptions.restarts
-    max_sweeps: int = AlsOptions.max_sweeps
-    rel_tol: float = AlsOptions.rel_tol
     eps_m: float = DEFAULT_EPS_M
     min_points: int = DEFAULT_MIN_POINTS
     detection_radius_m: float = 5.0
@@ -294,28 +291,11 @@ class ScenarioConfig:
     modes: tuple[str, ...] = ("disac",)
     raw: dict = field(default_factory=dict)
 
-    def codebook(self, axis: str):
-        num, first = self.beams[axis]
-        size = axis_elements(axis, self.ue_geom, self.bs_geom)
-        return dft_codebook(size, num, axis, first_beam=first)
-
-    def codebooks(self) -> CodebookSet:
-        books = {axis: self.codebook(axis) for axis in AXIS_LABELS}
-        return CodebookSet(**books, rx_geom=self.ue_geom, tx_geom=self.bs_geom)
-
-    def receiver_tensor(self, scene: Scene, rx_id: int, seed: int, books: CodebookSet):
+    def receiver_tensor(self, scene: Scene, rx_id: int, seed: int):
         """Receiver ``rx_id``'s noisy tensor in the trial of seed ``seed``."""
         return synthesize_tensor(
-            scene, rx_id, books, self.ofdm,
+            scene, rx_id, self.books, self.ofdm,
             noise_seed=receiver_seed(seed, rx_id), effective_snr_db=self.effective_snr_db,
-        )
-
-    def als_options(self, seed: int) -> AlsOptions:
-        return AlsOptions(
-            max_sweeps=self.max_sweeps,
-            rel_tol=self.rel_tol,
-            restarts=self.restarts,
-            seed=seed,
         )
 
 
@@ -341,15 +321,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                    spacing=spacing, wavelength=ofdm.wavelength)
         for name, shape in _STOCK_ARRAYS.items()
     )
-    # the BS sweeps 8 azimuth beams around broadside and a 4-beam elevation
-    # fan from DFT beam 11 (downtilt); the UE sweeps every beam of its array
-    beams = {"tx_az": (8, None), "tx_el": (4, 11),
-             "rx_az": (ue_geom.n_x, None), "rx_el": (ue_geom.n_y, None)}
-    for axis, spec in kw.pop("beams", {}).items():
-        if isinstance(spec, dict):  # a sector without a first beam centres on broadside
-            beams[axis] = (spec.get("num_beams", beams[axis][0]), spec.get("first_beam"))
-        else:  # a bare count keeps the default first beam
-            beams[axis] = (spec, beams[axis][1])
 
     scene = kw.pop("scene", {})
     if "foi_az" in scene or "foi_el" in scene:  # a partial FoI keeps the stock other half
@@ -360,14 +331,30 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         )
     scene_cfg = _construct("scene", SceneConfig, **scene, tx_array=bs_geom, rx_array=ue_geom)
 
-    config = ScenarioConfig(
-        ofdm=ofdm, scene=scene_cfg, bs_geom=bs_geom, ue_geom=ue_geom, beams=beams, **kw, raw=raw
-    )
+    # the BS sweeps 8 azimuth beams around broadside and a 4-beam elevation
+    # fan from DFT beam 11 (downtilt); the UE sweeps every beam of its array
+    stock = {"tx_az": (8, None), "tx_el": (4, 11),
+             "rx_az": (ue_geom.n_x, None), "rx_el": (ue_geom.n_y, None)}
+    sectors = kw.pop("beams", {})
+    books = {}
     for key, (axis, _) in _BEAMS_KEYS.items():
+        num, first = stock[axis]
+        spec = sectors.get(axis)
+        if isinstance(spec, dict):  # a sector without a first beam centres on broadside
+            num, first = spec.get("num_beams", num), spec.get("first_beam")
+        elif spec is not None:  # a bare count keeps the default first beam
+            num = spec
         try:
-            config.codebook(axis)
+            books[axis] = dft_codebook(axis_elements(axis, ue_geom, bs_geom), num, axis,
+                                       first_beam=first)
         except ValueError as exc:
             raise ConfigError(f"beams.{key}: {exc}") from exc
+
+    als = _construct("estimation", AlsOptions, **{k: kw.pop(k) for k in _ALS_KEYS if k in kw})
+    config = ScenarioConfig(
+        ofdm=ofdm, scene=scene_cfg, books=CodebookSet(**books, rx_geom=ue_geom, tx_geom=bs_geom),
+        als=als, **kw, raw=raw,
+    )
     n_rx = scene_cfg.num_receivers
     for mode in map(parse_mode, config.modes):
         if mode.kind == "isac" and not 0 <= mode.ue_id < n_rx:
@@ -439,19 +426,7 @@ class ModeOutcome:
     residual: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "failure": self.failure,
-            "ue_errors": {str(k): v for k, v in sorted(self.ue_errors.items())},
-            "to_errors": {str(k): v for k, v in sorted(self.to_errors.items())},
-            "target_detected": {
-                str(k): bool(v) for k, v in sorted(self.target_detected.items())
-            },
-            "target_errors": {str(k): v for k, v in sorted(self.target_errors.items())},
-            "num_clusters": self.num_clusters,
-            "num_false_alarms": self.num_false_alarms,
-            "residual": self.residual,
-        }
+        return _canonical(asdict(self))
 
 
 @dataclass
@@ -465,15 +440,16 @@ class TrialResult:
 
     def canonical_dict(self) -> dict:
         """Deterministic serialization; runtimes deliberately excluded."""
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "outcomes": {m: o.to_dict() for m, o in sorted(self.outcomes.items())},
-            "num_paths": {str(k): v for k, v in sorted(self.num_paths.items())},
-            "skipped_receivers": {
-                str(k): v for k, v in sorted(self.skipped_receivers.items())
-            },
-        }
+        doc = asdict(self)
+        del doc["runtimes"]
+        return _canonical(doc)
+
+
+def _canonical(value):
+    """``value`` with every mapping's keys made strings and sorted: the canonical form."""
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+    return value
 
 
 def wrap_timing_offset(value: float, period: float) -> float:
@@ -566,25 +542,25 @@ def _receiver_workers(receivers: int) -> int:
     return max(1, min(receivers, cpus // blas_threads))
 
 
-def _estimate_receiver(config: ScenarioConfig, scene: Scene, rx_id: int, seed: int,
-                       books: CodebookSet) -> tuple[str, object]:
+def _estimate_receiver(config: ScenarioConfig, scene: Scene, rx_id: int,
+                       seed: int) -> tuple[str, object]:
     """Synthesize and estimate one receiver: ``(stage, paths or the exception)``."""
     stage = "synthesis"
     try:
-        tensor = config.receiver_tensor(scene, rx_id, seed, books)
+        tensor = config.receiver_tensor(scene, rx_id, seed)
         stage = "estimation"
         return stage, estimate_paths(
             tensor,
             rank="auto",
-            opts=config.als_options(receiver_seed(seed, rx_id)),
+            opts=replace(config.als, seed=receiver_seed(seed, rx_id)),
             max_rank=config.max_rank,
         )
     except Exception as exc:
         return stage, exc
 
 
-def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int], seed: int,
-                        books: CodebookSet) -> list[tuple[str, object]]:
+def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
+                        seed: int) -> list[tuple[str, object]]:
     """Each receiver's ``_estimate_receiver`` outcome, in the order of ``rx_ids``.
 
     With w = _receiver_workers(receivers) > 1, receivers j, j + w, ... go
@@ -596,16 +572,18 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
     from run to run, against 0.9-1.05 s for two processes and 1.75-2.1 s
     one at a time. Receivers whose child could not start, died, or sent
     an outcome that does not unpickle are done here, so the outcomes are
-    those of the one-at-a-time loop in every case.
+    those of the one-at-a-time loop in every case. After the first child
+    that could not start, this process does every receiver of every trial.
     """
+    global _no_process_to_spare
     can_fork = "fork" in multiprocessing.get_all_start_methods()
     # a daemonic process, such as a pool worker, may have no children
     daemonic = multiprocessing.current_process().daemon
-    workers = _receiver_workers(len(rx_ids)) if can_fork and not daemonic else 1
+    spare = can_fork and not daemonic and not _no_process_to_spare
+    workers = _receiver_workers(len(rx_ids)) if spare else 1
 
     def run(j):
-        return [_estimate_receiver(config, scene, rx_id, seed, books)
-                for rx_id in rx_ids[j::workers]]
+        return [_estimate_receiver(config, scene, rx_id, seed) for rx_id in rx_ids[j::workers]]
 
     outcomes = [None] * len(rx_ids)
     children = []
@@ -618,6 +596,7 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
                 with writer:  # then the child holds the only write end: its death reads as EOF
                     child.start()
             except OSError:  # no pipe or process to spare (an unused read end closes on return)
+                _no_process_to_spare = True
                 break
             children.append((j, child, reader))
         for j in [0, *range(len(children) + 1, workers)]:  # workers without a child
@@ -643,8 +622,8 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
 
     The receivers' tensors are synthesized and estimated side by side in
     processes forked through multiprocessing (see _estimate_receivers),
-    which only read the scene, the codebooks and the config, so nothing
-    but the outcomes is pickled; the outcomes are then taken in
+    which only read the scene and the config (its codebooks included), so
+    nothing but the outcomes is pickled; the outcomes are then taken in
     receiver order, so the result is the same as estimating them one after
     the other: the first synthesis failure fails every mode, and an
     estimation failure skips its receiver.
@@ -672,7 +651,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     rx_ids = [rx.node_id for rx in scene.receivers]
     paths_by_rx: dict[int, list] = {}
     t0 = time.perf_counter()
-    outcomes = _estimate_receivers(config, scene, rx_ids, seed, config.codebooks())
+    outcomes = _estimate_receivers(config, scene, rx_ids, seed)
     for rx_id, (stage, value) in zip(rx_ids, outcomes):
         if isinstance(value, Exception):
             if stage == "synthesis":
@@ -867,6 +846,7 @@ def write_results(mc: MonteCarloResult, path: str):
 
 
 def write_scene(scene: Scene, path: str):
+    """The scene as JSON: each object holds its dataclass's fields, arrays as lists."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, sort_keys=True, indent=2)
+        json.dump(asdict(scene), fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
         fh.write("\n")

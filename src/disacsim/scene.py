@@ -523,80 +523,3 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
     )
     return scene
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "speed_of_light": scene.speed_of_light,
-        "phase_seed": scene.phase_seed,
-        "tx": {
-            "position": scene.tx.position.tolist(),
-            "array": geom_to_dict(scene.tx.array),
-        },
-        "receivers": [
-            {
-                "node_id": rx.node_id,
-                "position": rx.position.tolist(),
-                "orientation": rx.orientation.tolist(),
-                "timing_offset": rx.timing_offset,
-                "array": geom_to_dict(rx.array),
-            }
-            for rx in scene.receivers
-        ],
-        "targets": [
-            {
-                "target_id": t.target_id,
-                "scatter_points": t.scatter_points.tolist(),
-                "reflectivities": t.reflectivities.tolist(),
-            }
-            for t in scene.targets
-        ],
-        "clutter": [
-            {"position": c.position.tolist(), "reflectivity": c.reflectivity}
-            for c in scene.clutter
-        ],
-    }
-
-
-def scene_from_dict(doc: dict) -> Scene:
-    return Scene(
-        tx=TransmitterNode(
-            position=doc["tx"]["position"], array=geom_from_dict(doc["tx"]["array"])
-        ),
-        receivers=[
-            ReceiverNode(
-                node_id=r["node_id"],
-                position=r["position"],
-                orientation=np.array(r["orientation"]),
-                timing_offset=r["timing_offset"],
-                array=geom_from_dict(r["array"]),
-            )
-            for r in doc["receivers"]
-        ],
-        targets=[
-            ExtendedTarget(
-                target_id=t["target_id"],
-                scatter_points=t["scatter_points"],
-                reflectivities=t["reflectivities"],
-            )
-            for t in doc["targets"]
-        ],
-        clutter=[
-            ClutterPoint(position=c["position"], reflectivity=c["reflectivity"])
-            for c in doc["clutter"]
-        ],
-        speed_of_light=doc["speed_of_light"],
-        phase_seed=doc["phase_seed"],
-    )
-
-
-def geom_to_dict(g: UpaGeometry) -> dict:
-    return {"n_x": g.n_x, "n_y": g.n_y, "spacing": g.spacing, "wavelength": g.wavelength}
-
-
-def geom_from_dict(d: dict) -> UpaGeometry:
-    return UpaGeometry(n_x=d["n_x"], n_y=d["n_y"], spacing=d["spacing"], wavelength=d["wavelength"])

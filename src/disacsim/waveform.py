@@ -19,7 +19,7 @@ for the column-major vectorization of the tensor.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .scene import (
     UpaGeometry,
     axis_responses,
     generate_ground_truth_paths,
-    geom_from_dict,
-    geom_to_dict,
     phase_ramp,
     steering_vector,
 )
@@ -398,7 +396,8 @@ def synthesize_tensor(
 #
 # <prefix>.bin: the 5-D array as complex128 in C order, i.e. float64 pairs
 # (re, im) in the machine's byte order.
-# <prefix>.json: shape, axis order, codebook recipe, OFDM grid, noise power.
+# <prefix>.json: shape, axis order, codebook recipe, noise power, and the
+# fields of the OfdmConfig and of both UpaGeometry objects.
 
 
 def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
@@ -412,16 +411,9 @@ def export_tensor(tensor: MeasurementTensor, prefix: str) -> tuple[str, str]:
         "axes": [*AXIS_LABELS, "subcarrier"],
         "storage": "row-major float64 interleaved re/im",
         "noise_var": tensor.noise_var,
-        "ofdm": {
-            "carrier_freq": tensor.ofdm.carrier_freq,
-            "bandwidth": tensor.ofdm.bandwidth,
-            "num_subcarriers": tensor.ofdm.num_subcarriers,
-            "subcarrier_spacing": tensor.ofdm.subcarrier_spacing,
-            "tx_power_dbm": tensor.ofdm.tx_power_dbm,
-            "noise_variance_dbm": tensor.ofdm.noise_variance_dbm,
-        },
-        "rx_geom": geom_to_dict(books.rx_geom),
-        "tx_geom": geom_to_dict(books.tx_geom),
+        "ofdm": asdict(tensor.ofdm),
+        "rx_geom": asdict(books.rx_geom),
+        "tx_geom": asdict(books.tx_geom),
         "codebooks": {
             label: {
                 "axis_size": getattr(books, label).num_elements,
@@ -470,7 +462,7 @@ def load_tensor(prefix: str) -> MeasurementTensor:
 
     A header that lacks a key, or holds a value of the wrong kind (an
     object, a number, integers; see _HEADER_KINDS), is a ValueError naming
-    the key.
+    the key; so is a geometry whose keys are not UpaGeometry's fields.
     """
     if prefix.endswith(".json") or prefix.endswith(".bin"):
         prefix = prefix.rsplit(".", 1)[0]
@@ -495,7 +487,7 @@ def load_tensor(prefix: str) -> MeasurementTensor:
     geoms = {}
     for key in ("rx_geom", "tx_geom"):
         try:
-            geoms[key] = geom_from_dict(header.take(key, "object"))
+            geoms[key] = UpaGeometry(**header.take(key, "object"))
         except TypeError as exc:
             raise ValueError(f"tensor header key {key!r} is not an array geometry: {exc}") from exc
     books_spec = header.take("codebooks", "object")

@@ -162,7 +162,7 @@ def small_tensor(tmp_path) -> str:
     raw = {k: v for k, v in MINI.items() if k != "schema"}
     config = default_scenario(**raw)
     scene = random_scene(config.scene, config.seed)
-    tensor = synthesize_tensor(scene, 0, config.codebooks(), config.ofdm, noise_seed=1)
+    tensor = synthesize_tensor(scene, 0, config.books, config.ofdm, noise_seed=1)
     prefix = str(tmp_path / "rx0")
     export_tensor(tensor, prefix)
     return prefix
@@ -252,8 +252,9 @@ def test_estimate_rejects_a_header_without_a_key(tmp_path, capsys):
         (lambda header: header.update(noise_var="x"), "'noise_var'"),
         (lambda header: header["codebooks"]["rx_az"].update(beam_indices=5), "'beam_indices'"),
         (lambda header: header["rx_geom"].update(n_x="4"), "'rx_geom'"),
+        (lambda header: header["rx_geom"].update(rows=4), "'rx_geom'"),
     ],
-    ids=["ofdm", "noise_var", "beam_indices", "rx_geom"],
+    ids=["ofdm", "noise_var", "beam_indices", "rx_geom", "rx_geom_extra_key"],
 )
 def test_estimate_rejects_a_header_value_of_the_wrong_type(tmp_path, capsys, edit, key):
     prefix = small_tensor(tmp_path)

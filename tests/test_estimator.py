@@ -141,6 +141,9 @@ def test_als_options_reject_empty_runs():
         AlsOptions(max_sweeps=0)
     with pytest.raises(ValueError, match="restarts"):
         AlsOptions(restarts=0)
+    for rel_tol in (-1e-8, float("nan")):  # the tolerance stop would never fire
+        with pytest.raises(ValueError, match="rel_tol"):
+            AlsOptions(rel_tol=rel_tol)
 
 
 def test_cpd_rank_validation():
@@ -347,7 +350,7 @@ def test_model_order_from_grams_counts_as_the_svd():
         scene = random_scene(config.scene, seed)
         for rx in scene.receivers:
             tensors.append(synthesize_tensor(
-                scene, rx.node_id, config.codebooks(), config.ofdm,
+                scene, rx.node_id, config.books, config.ofdm,
                 noise_seed=receiver_seed(seed, rx.node_id),
                 effective_snr_db=config.effective_snr_db,
             ))
@@ -371,7 +374,7 @@ def test_mode_grams_are_the_one_shot_products(monkeypatch, block):
     monkeypatch.setattr(estimator, "BLOCK_ENTRIES", block)
     config = default_scenario()
     scene = random_scene(config.scene, 0)
-    data = config.receiver_tensor(scene, 0, 0, config.codebooks()).data
+    data = config.receiver_tensor(scene, 0, 0).data
     for mode in range(data.ndim):
         ref = unfolding_gram(data, mode)
         gram = estimator._mode_gram(data, mode)

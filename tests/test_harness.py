@@ -3,8 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 import tracemalloc
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +41,13 @@ from disacsim.harness import (
     write_scene,
 )
 from disacsim.scene import (
+    ClutterPoint,
     ExtendedTarget,
     ReceiverNode,
     Scene,
     TransmitterNode,
     UpaGeometry,
     random_scene,
-    scene_from_dict,
-    scene_to_dict,
 )
 
 SCHEMA = "disacsim-config/1"
@@ -97,10 +99,13 @@ def test_default_scenario_values():
     cfg = default_scenario()
     assert cfg.ofdm.num_subcarriers == 64
     assert cfg.ofdm.subcarrier_spacing == pytest.approx(1.5625e6)
-    assert (cfg.bs_geom.n_x, cfg.bs_geom.n_y) == (16, 16)
-    assert (cfg.ue_geom.n_x, cfg.ue_geom.n_y) == (8, 8)
-    assert cfg.beams["tx_az"] == (8, None)
-    assert cfg.beams["tx_el"] == (4, 11)
+    assert (cfg.books.tx_geom.n_x, cfg.books.tx_geom.n_y) == (16, 16)
+    assert (cfg.books.rx_geom.n_x, cfg.books.rx_geom.n_y) == (8, 8)
+    assert cfg.books.tx_geom == cfg.scene.tx_array and cfg.books.rx_geom == cfg.scene.rx_array
+    # 8 azimuth beams centred on broadside, 4 elevation beams from DFT beam 11
+    assert cfg.books.tx_az.beam_indices == (12, 13, 14, 15, 0, 1, 2, 3)
+    assert cfg.books.tx_el.beam_indices == (11, 12, 13, 14)
+    assert cfg.books.beam_shape == (8, 8, 4, 8)
     assert cfg.eps_m == 2.0
     assert cfg.detection_radius_m == 5.0
     assert cfg.trials == 50
@@ -109,12 +114,12 @@ def test_default_scenario_values():
 
 
 def test_default_scenario_takes_the_als_defaults():
-    assert default_scenario().als_options(7) == AlsOptions(seed=7)
+    assert default_scenario().als == AlsOptions()
 
 
 def test_default_scenario_overrides():
     cfg = default_scenario(trials=7, estimation={"restarts": 1, "max_rank": 6})
-    assert cfg.trials == 7 and cfg.restarts == 1 and cfg.max_rank == 6
+    assert cfg.trials == 7 and cfg.als.restarts == 1 and cfg.max_rank == 6
     # null keeps the default, except that it switches SNR calibration off
     cfg = default_scenario(
         seed=None, ofdm={"num_subcarriers": None}, estimation={"effective_snr_db": None}
@@ -191,6 +196,23 @@ def test_config_rejects_bad_values():
                                 ("metrics", "detection_radius_m", float("nan"))]:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a number > 0"):
             scenario_from_dict({"schema": SCHEMA, section: {key: value}})
+    # YAML's .nan and .inf are numbers, but no setting may be one: a NaN
+    # spacing, power or SNR failed every trial at synthesis, a NaN
+    # reflectivity every trial at scene sampling
+    nan, inf = float("nan"), float("inf")
+    for section, key, value in [("arrays", "spacing_wavelengths", nan),
+                                ("ofdm", "tx_power_dbm", nan),
+                                ("ofdm", "carrier_freq_hz", inf),
+                                ("estimation", "effective_snr_db", nan),
+                                ("estimation", "effective_snr_db", -inf),
+                                ("estimation", "rel_tol", nan),
+                                ("scene", "target_reflectivity_range", [nan, 1]),
+                                ("clustering", "eps_m", inf)]:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a finite number"):
+            scenario_from_dict({"schema": SCHEMA, section: {key: value}})
+    # a negative tolerance would silently switch the ALS tolerance stop off
+    with pytest.raises(ConfigError, match=r"^estimation: rel_tol must be a number >= 0"):
+        scenario_from_dict({"schema": SCHEMA, "estimation": {"rel_tol": -1}})
     # PyYAML reads 100e6 (no dot) as a string; it stays a valid number
     raw = yaml.safe_load(f"schema: {SCHEMA}\nofdm: {{bandwidth_hz: 100e6}}\n")
     assert raw["ofdm"]["bandwidth_hz"] == "100e6"
@@ -441,10 +463,10 @@ def test_a_failed_synthesis_fails_every_mode(monkeypatch, four_cpus_one_blas_thr
     serial = run_trial(cfg, 0, modes)
     real = ScenarioConfig.receiver_tensor
 
-    def flaky(self, scene, rx_id, seed, books):
+    def flaky(self, scene, rx_id, seed):
         if rx_id == 1:
             raise RuntimeError("forced failure")
-        return real(self, scene, rx_id, seed, books)
+        return real(self, scene, rx_id, seed)
 
     monkeypatch.setattr(ScenarioConfig, "receiver_tensor", flaky)
     result = run_trial(cfg, 0, modes)
@@ -476,6 +498,8 @@ def test_run_montecarlo_leaves_no_child_process_behind(four_cpus_one_blas_thread
 
 def test_a_trial_without_a_process_to_spare_runs_its_receivers_here(
         monkeypatch, four_cpus_one_blas_thread):
+    # the flag outlives the trial; monkeypatch resets it so that later tests still fork
+    monkeypatch.setattr(harness, "_no_process_to_spare", False)
     cfg = mini_config(num_receivers=3)
     modes = [parse_mode(m) for m in cfg.modes]
     serial = run_trial(cfg, 0, modes).canonical_dict()
@@ -484,7 +508,12 @@ def test_a_trial_without_a_process_to_spare_runs_its_receivers_here(
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_trial(cfg, 0, modes).canonical_dict() == serial
+    descriptors = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert run_trial(cfg, 0, modes).canonical_dict() == serial
+    # a failed fork leaks the 4 pipe descriptors multiprocessing opened for
+    # it, so only the first trial may try one
+    assert len(os.listdir("/proc/self/fd")) - descriptors <= 4
     assert no_child_process_left()
 
 
@@ -603,12 +632,11 @@ RECEIVER_PEAK_MIB = 4.75
 def test_one_receiver_stays_within_its_memory_budget():
     cfg = default_scenario(estimation={"max_sweeps": 5})
     scene = random_scene(cfg.scene, cfg.seed)
-    books = cfg.codebooks()
 
     def estimate_one():
-        tensor = cfg.receiver_tensor(scene, 0, cfg.seed, books)
-        estimate_paths(tensor, rank="auto", opts=cfg.als_options(receiver_seed(cfg.seed, 0)),
-                       max_rank=cfg.max_rank)
+        tensor = cfg.receiver_tensor(scene, 0, cfg.seed)
+        opts = replace(cfg.als, seed=receiver_seed(cfg.seed, 0))
+        estimate_paths(tensor, rank="auto", opts=opts, max_rank=cfg.max_rank)
 
     estimate_one()  # first calls allocate once for good
     tracemalloc.start()
@@ -708,9 +736,35 @@ def test_to_json_deterministic_and_writers(tmp_path):
     assert text.endswith("\n") and json.loads(text) == parsed
 
 
-def test_write_scene_round_trip(tmp_path):
+def test_write_scene_holds_the_dataclass_fields(tmp_path):
     scene = _match_scene()
+    scene.clutter.append(ClutterPoint(position=[12.0, -20.0, 3.0], reflectivity=0.5))
     path = tmp_path / "scene.json"
     write_scene(scene, str(path))
-    loaded = scene_from_dict(json.loads(path.read_text()))
-    assert scene_to_dict(loaded) == scene_to_dict(scene)
+    doc = json.loads(path.read_text())
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert doc.keys() == names(Scene)
+    assert doc["tx"].keys() == names(TransmitterNode)
+    assert doc["tx"]["array"].keys() == names(UpaGeometry)
+    assert doc["receivers"][0].keys() == names(ReceiverNode)
+    assert doc["receivers"][0]["array"].keys() == names(UpaGeometry)
+    assert doc["targets"][0].keys() == names(ExtendedTarget)
+    assert doc["clutter"][0].keys() == names(ClutterPoint)
+    assert doc["tx"]["position"] == [0.0, 0.0, 14.0]
+    assert doc["tx"]["array"] == {"n_x": 4, "n_y": 4, "spacing": 0.01, "wavelength": 0.02}
+    assert doc["receivers"][0]["orientation"] == BORESIGHT_ALONG_X.tolist()
+    assert [t["scatter_points"] for t in doc["targets"]] == [[[20.0, 0.0, 1.0]],
+                                                             [[30.0, 0.0, 1.0]]]
+    assert doc["clutter"] == [{"position": [12.0, -20.0, 3.0], "reflectivity": 0.5}]
+    assert doc["speed_of_light"] == scene.speed_of_light and doc["phase_seed"] == 0
+
+
+def test_every_readme_config_resolves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        scenario_from_dict(yaml.safe_load(block))

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -27,8 +30,6 @@ from disacsim.scene import (
     axis_responses,
     generate_ground_truth_paths,
     random_scene,
-    scene_from_dict,
-    scene_to_dict,
     steering_vector,
 )
 
@@ -267,12 +268,16 @@ def _desk_config(**overrides):
     return SceneConfig(**kw)
 
 
+def _scene_json(scene: Scene) -> str:
+    return json.dumps(asdict(scene), sort_keys=True, default=np.ndarray.tolist)
+
+
 def test_random_scene_deterministic():
     cfg = _desk_config()
-    a = scene_to_dict(random_scene(cfg, seed=42))
-    b = scene_to_dict(random_scene(cfg, seed=42))
+    a = _scene_json(random_scene(cfg, seed=42))
+    b = _scene_json(random_scene(cfg, seed=42))
     assert a == b
-    c = scene_to_dict(random_scene(cfg, seed=43))
+    c = _scene_json(random_scene(cfg, seed=43))
     assert a != c
 
 
@@ -334,14 +339,3 @@ def test_random_scene_infeasible_raises():
     with pytest.raises(SceneSamplingError):
         random_scene(cfg, seed=0)
 
-
-def test_scene_serialization_round_trip():
-    scene = random_scene(_desk_config(), seed=9)
-    d = scene_to_dict(scene)
-    back = scene_from_dict(d)
-    assert scene_to_dict(back) == d
-    # spot-check one deep value survived
-    assert back.receivers[1].timing_offset == scene.receivers[1].timing_offset
-    np.testing.assert_array_equal(
-        back.targets[0].scatter_points, scene.targets[0].scatter_points
-    )

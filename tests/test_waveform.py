@@ -343,7 +343,7 @@ def test_beamspace_noise_is_the_einsum(which):
     # bit for bit where the einsum also contracts the elevation axis first;
     # with fewer azimuth than elevation beams it goes the other way round
     books = {
-        "stock": lambda: default_scenario().codebooks(),
+        "stock": lambda: default_scenario().books,
         "small": small_books,
         "fewer_az_beams": lambda: CodebookSet(
             rx_el=dft_codebook(4, 3, "rx_el"), rx_az=dft_codebook(4, 2, "rx_az"),
