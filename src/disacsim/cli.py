@@ -21,7 +21,6 @@ from .harness import (
     _integer,
     default_scenario,
     load_config,
-    parse_mode,
     run_montecarlo,
     run_trial,
     write_csv,
@@ -36,7 +35,8 @@ logger = logging.getLogger(__name__)
 
 def _scenario(args) -> ScenarioConfig:
     """--config with --seed, --trials and --mode laid over its top-level keys."""
-    flags = {"seed": args.seed, "trials": getattr(args, "trials", None), "modes": args.mode}
+    flags = {"seed": args.seed, "trials": getattr(args, "trials", None),
+             "modes": getattr(args, "mode", None)}
     overrides = {key: value for key, value in flags.items() if value is not None}
     if args.config:
         return load_config(args.config, **overrides)
@@ -107,9 +107,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_e2e(args) -> int:
-    config = _scenario(args)
-    modes = [parse_mode(m) for m in config.modes]
-    result = run_trial(config, 0, modes)
+    result = run_trial(_scenario(args), 0)
     text = json.dumps(result.canonical_dict(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -139,19 +137,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=False):
+    def common(p, modes=True, trials=False):
         p.add_argument("--config", help="scenario YAML (defaults to the stock scenario)")
         p.add_argument("--seed", type=int, help="override the base seed")
-        p.add_argument(
-            "--mode",
-            action="append",
-            help="mode to run (disac, disac-ls, isac:<id>[-ls]); repeatable",
-        )
+        if modes:
+            p.add_argument(
+                "--mode",
+                action="append",
+                help="mode to run (disac, disac-ls, isac:<id>[-ls]); repeatable",
+            )
         if trials:
             p.add_argument("--trials", type=int, help="override the trial count")
 
     p = sub.add_parser("simulate", help="draw a scene and export its tensors")
-    common(p)
+    common(p, modes=False)
     p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -6,8 +6,9 @@ misread. Every trial draws a fresh scene (seed = base seed + trial
 index), synthesizes one beamspace tensor per receiver, runs the shared
 estimation chain once (the receivers side by side, in processes started
 through multiprocessing's fork context, when BLAS leaves cores free; see
-run_trial), and then evaluates each requested mode on top of the shared
-per-receiver results:
+run_trial), and then evaluates each mode of ScenarioConfig.modes, parsed
+once from the config (a mode listed twice is refused), on the shared
+per-receiver results; each is reported under its canonical Mode.name:
 
     disac       all receivers pooled, gain-weighted fusion
     disac-ls    same, unit weights in every least-squares solve
@@ -138,12 +139,14 @@ def _integer(minimum: int | None = None):
     return convert
 
 
-def _modes(value) -> tuple[str, ...]:
+def _modes(value) -> tuple[Mode, ...]:
     if not isinstance(value, (list, tuple)) or not all(isinstance(m, str) for m in value):
         raise ValueError("must be a list of strings")
-    for m in value:
-        parse_mode(m)
-    return tuple(value)
+    modes = tuple(map(parse_mode, value))
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:  # isac:01 is isac:1
+            raise ValueError(f"mode {mode.name!r} is listed twice")
+    return modes
 
 
 def _number(value) -> float:
@@ -288,7 +291,7 @@ class ScenarioConfig:
     detection_radius_m: float = 5.0
     seed: int = 0
     trials: int = 50
-    modes: tuple[str, ...] = ("disac",)
+    modes: tuple[Mode, ...] = (Mode(kind="disac", ue_id=None, weighting="wls"),)
     raw: dict = field(default_factory=dict)
 
     def receiver_tensor(self, scene: Scene, rx_id: int, seed: int):
@@ -356,7 +359,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         als=als, **kw, raw=raw,
     )
     n_rx = scene_cfg.num_receivers
-    for mode in map(parse_mode, config.modes):
+    for mode in config.modes:
         if mode.kind == "isac" and not 0 <= mode.ue_id < n_rx:
             raise ConfigError(
                 f"modes: {mode.name!r} names receiver {mode.ue_id}, but the scenario has "
@@ -617,8 +620,8 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
             reader.close()
 
 
-def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> TrialResult:
-    """One end-to-end trial shared across the requested modes.
+def run_trial(config: ScenarioConfig, trial_index: int) -> TrialResult:
+    """Trial ``trial_index`` of ``config``, shared across the config's modes.
 
     The receivers' tensors are synthesized and estimated side by side in
     processes forked through multiprocessing (see _estimate_receivers),
@@ -634,10 +637,8 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     )
 
     def fail_all(stage: str, exc: Exception):
-        for mode in modes:
-            result.outcomes[mode.name] = ModeOutcome(
-                mode=mode.name, failure=f"{stage}: {exc}"
-            )
+        for mode in config.modes:
+            result.outcomes[mode.name] = ModeOutcome(mode=mode.name, failure=f"{stage}: {exc}")
         logger.warning("trial %d failed at %s: %s", trial_index, stage, exc)
         return result
 
@@ -663,7 +664,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     result.runtimes["estimation"] = time.perf_counter() - t0
 
     # per-receiver pipeline, per weighting actually needed
-    weightings = sorted({m.weighting for m in modes})
+    weightings = sorted({m.weighting for m in config.modes})
     single: dict[str, dict[int, SingleReceiverResult]] = {w: {} for w in weightings}
     t0 = time.perf_counter()
     for rx_id, est in paths_by_rx.items():
@@ -677,7 +678,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, modes: list[Mode]) -> Tr
     result.runtimes["pipeline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for mode in modes:
+    for mode in config.modes:
         usable = single[mode.weighting]
         wanted = [mode.ue_id] if mode.kind == "isac" else sorted(usable)
         results = [usable[n] for n in wanted if n in usable]
@@ -775,22 +776,18 @@ class MonteCarloResult:
 
 
 def run_montecarlo(
-    config: ScenarioConfig,
-    modes: list[str] | None = None,
-    trials: int | None = None,
-    progress: bool = False,
+    config: ScenarioConfig, trials: int | None = None, progress: bool = False
 ) -> MonteCarloResult:
-    """Run the config's trials; ``modes`` and ``trials`` pass the config's checks."""
-    overrides = {k: v for k, v in dict(modes=modes, trials=trials).items() if v is not None}
-    if overrides:
-        config = scenario_from_dict({**config.raw, **overrides})
-    parsed = [parse_mode(m) for m in config.modes]
+    """Run the config's trials, or ``trials`` of them, which passes the config's check."""
+    if trials is not None:
+        config = scenario_from_dict({**config.raw, "trials": trials})
     results = []
     for i in range(config.trials):
-        results.append(run_trial(config, i, parsed))
+        results.append(run_trial(config, i))
         if progress:
             logger.info("trial %d/%d done", i + 1, config.trials)
-    return MonteCarloResult(config=config.raw, modes=list(config.modes), trials=results)
+    modes = [m.name for m in config.modes]
+    return MonteCarloResult(config=config.raw, modes=modes, trials=results)
 
 
 # ---------------------------------------------------------------------------

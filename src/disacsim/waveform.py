@@ -18,8 +18,9 @@ for the column-major vectorization of the tensor.
 """
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -435,7 +436,8 @@ def _int_list(value, minimum: float = -np.inf) -> bool:
 # what a tensor header value may be, by kind: (description, test)
 _HEADER_KINDS = {
     "object": ("an object", lambda v: isinstance(v, dict)),
-    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "number": ("a finite number",
+               lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
     "integer": ("an integer", lambda v: type(v) is int),
     "indices": ("a list of integers", _int_list),
     "shape": ("a list of positive integers", lambda v: _int_list(v, 1)),
@@ -457,12 +459,26 @@ class _Header(dict):
         return value
 
 
+def _record(header: _Header, key: str, cls):
+    """The ``cls`` that the header's object ``key`` holds as exactly cls's fields:
+    integers where annotated int, finite numbers elsewhere. A failure names ``key``."""
+    block = header.take(key, "object")
+    kinds = {f.name: "integer" if f.type is int else "number" for f in fields(cls)}
+    try:
+        if not block.keys() <= kinds.keys():
+            raise ValueError(f"unknown key(s) {sorted(block.keys() - kinds.keys())}")
+        return cls(**{name: block.take(name, kind) for name, kind in kinds.items()})
+    except ValueError as exc:
+        raise ValueError(f"tensor header key {key!r} holds no {cls.__name__}: {exc}") from exc
+
+
 def load_tensor(prefix: str) -> MeasurementTensor:
     """Read a tensor written by :func:`export_tensor` (pass the same prefix).
 
     A header that lacks a key, or holds a value of the wrong kind (an
-    object, a number, integers; see _HEADER_KINDS), is a ValueError naming
-    the key; so is a geometry whose keys are not UpaGeometry's fields.
+    object, a finite number, integers; see _HEADER_KINDS), is a ValueError
+    naming the key; so is an ``ofdm`` or geometry block whose keys are not
+    its dataclass's fields (see _record).
     """
     if prefix.endswith(".json") or prefix.endswith(".bin"):
         prefix = prefix.rsplit(".", 1)[0]
@@ -475,21 +491,8 @@ def load_tensor(prefix: str) -> MeasurementTensor:
     if os.path.getsize(bin_path) != np.dtype(np.complex128).itemsize * int(np.prod(shape)):
         raise ValueError("binary payload size does not match the header shape")
     data = np.fromfile(bin_path, dtype=np.complex128).reshape(shape)
-    o = header.take("ofdm", "object")
-    ofdm = OfdmConfig(
-        carrier_freq=o.take("carrier_freq", "number"),
-        bandwidth=o.take("bandwidth", "number"),
-        num_subcarriers=o.take("num_subcarriers", "integer"),
-        subcarrier_spacing=o.take("subcarrier_spacing", "number"),
-        tx_power_dbm=o.take("tx_power_dbm", "number"),
-        noise_variance_dbm=o.take("noise_variance_dbm", "number"),
-    )
-    geoms = {}
-    for key in ("rx_geom", "tx_geom"):
-        try:
-            geoms[key] = UpaGeometry(**header.take(key, "object"))
-        except TypeError as exc:
-            raise ValueError(f"tensor header key {key!r} is not an array geometry: {exc}") from exc
+    ofdm = _record(header, "ofdm", OfdmConfig)
+    geoms = {key: _record(header, key, UpaGeometry) for key in ("rx_geom", "tx_geom")}
     books_spec = header.take("codebooks", "object")
     cbs = {}
     for label in AXIS_LABELS:

@@ -253,8 +253,15 @@ def test_estimate_rejects_a_header_without_a_key(tmp_path, capsys):
         (lambda header: header["codebooks"]["rx_az"].update(beam_indices=5), "'beam_indices'"),
         (lambda header: header["rx_geom"].update(n_x="4"), "'rx_geom'"),
         (lambda header: header["rx_geom"].update(rows=4), "'rx_geom'"),
+        # JSON's NaN and Infinity are numbers, but no header value may be one
+        (lambda header: header["ofdm"].update(subcarrier_spacing=float("nan")),
+         "'subcarrier_spacing'"),
+        (lambda header: header["rx_geom"].update(spacing=float("nan")), "'rx_geom'"),
+        (lambda header: header["rx_geom"].update(n_x=True), "'rx_geom'"),
+        (lambda header: header.update(noise_var=float("inf")), "'noise_var'"),
     ],
-    ids=["ofdm", "noise_var", "beam_indices", "rx_geom", "rx_geom_extra_key"],
+    ids=["ofdm", "noise_var", "beam_indices", "rx_geom", "rx_geom_extra_key",
+         "ofdm_nan", "rx_geom_nan", "rx_geom_bool", "noise_var_inf"],
 )
 def test_estimate_rejects_a_header_value_of_the_wrong_type(tmp_path, capsys, edit, key):
     prefix = small_tensor(tmp_path)

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from disacsim import harness, pipeline
+from disacsim import cli, harness, pipeline
 from disacsim.estimator import AlsOptions, estimate_paths
 from disacsim.fusion import SceneEstimate
 from disacsim.geometry import BORESIGHT_ALONG_X
@@ -77,6 +78,11 @@ def mini_config(**scene_overrides):
     return scenario_from_dict(raw)
 
 
+def with_modes(cfg, *names):
+    """``cfg`` running the modes ``names`` instead of its own."""
+    return replace(cfg, modes=tuple(map(parse_mode, names)))
+
+
 # ---------------------------------------------------------------------------
 # Modes and configuration
 # ---------------------------------------------------------------------------
@@ -109,7 +115,7 @@ def test_default_scenario_values():
     assert cfg.eps_m == 2.0
     assert cfg.detection_radius_m == 5.0
     assert cfg.trials == 50
-    assert cfg.modes == ("disac",)
+    assert [m.name for m in cfg.modes] == ["disac"]
     assert cfg.effective_snr_db == 20.0
 
 
@@ -158,6 +164,10 @@ def test_config_rejects_bad_values():
         scenario_from_dict({"schema": SCHEMA, "modes": ["warp"]})
     with pytest.raises(ConfigError, match="isac:2"):  # the stock scenario has receivers 0 and 1
         scenario_from_dict({"schema": SCHEMA, "modes": ["isac:2"]})
+    # a mode listed twice, under any spelling, would run and be written twice
+    for modes, name in [(["disac", "disac"], "disac"), (["isac:1", "isac:01"], "isac:1")]:
+        with pytest.raises(ConfigError, match=rf"^modes: mode '{name}' is listed twice$"):
+            scenario_from_dict({"schema": SCHEMA, "modes": modes})
     with pytest.raises(ConfigError, match="arrays.bs"):
         scenario_from_dict({"schema": SCHEMA, "arrays": {"bs": {"n_x": 0}}})
     with pytest.raises(ConfigError, match="mapping"):
@@ -223,7 +233,7 @@ def test_load_config(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(f"schema: {SCHEMA}\ntrials: 4\nmodes: [disac, disac-ls]\n")
     cfg = load_config(str(path))
-    assert cfg.trials == 4 and cfg.modes == ("disac", "disac-ls")
+    assert cfg.trials == 4 and [m.name for m in cfg.modes] == ["disac", "disac-ls"]
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.yaml"))
     bad = tmp_path / "bad.yaml"
@@ -364,9 +374,8 @@ def test_match_targets_radius_gate():
 
 def test_run_trial_deterministic():
     cfg = mini_config()
-    modes = [parse_mode(m) for m in cfg.modes]
-    a = run_trial(cfg, 0, modes)
-    b = run_trial(cfg, 0, modes)
+    a = run_trial(cfg, 0)
+    b = run_trial(cfg, 0)
     ja = json.dumps(a.canonical_dict(), sort_keys=True)
     jb = json.dumps(b.canonical_dict(), sort_keys=True)
     assert ja == jb
@@ -379,7 +388,7 @@ def test_run_trial_noiseless_is_nearly_exact():
     raw["scene"]["scatter_points_per_target"] = 1
     raw["estimation"]["effective_snr_db"] = 180.0
     cfg = scenario_from_dict(raw)
-    result = run_trial(cfg, 0, [parse_mode("disac")])
+    result = run_trial(with_modes(cfg, "disac"), 0)
     oc = result.outcomes["disac"]
     assert oc.failure is None
     assert oc.ue_errors and all(e < 1e-3 for e in oc.ue_errors.values())
@@ -398,20 +407,19 @@ def test_run_trial_skips_a_receiver_only_when_every_weighting_fails(monkeypatch)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "localize_single", flaky)
-    cfg = mini_config()
-    modes = [parse_mode("disac"), parse_mode("disac-ls")]
-    result = run_trial(cfg, 0, modes)
+    cfg = with_modes(mini_config(), "disac", "disac-ls")
+    result = run_trial(cfg, 0)
     assert 0 not in result.skipped_receivers
     assert 0 in result.outcomes["disac"].ue_errors
     assert 0 not in (result.outcomes["disac-ls"].ue_errors or {})
 
     failing.add("wls")
-    result = run_trial(cfg, 0, modes)
+    result = run_trial(cfg, 0)
     assert result.skipped_receivers[0] == "localization: forced failure"
 
 
 def test_run_trial_without_modes_skips_no_receiver():
-    result = run_trial(mini_config(), 0, [])
+    result = run_trial(with_modes(mini_config()), 0)
     assert result.outcomes == {} and result.skipped_receivers == {}
     assert sorted(result.num_paths) == [0, 1]
 
@@ -431,17 +439,16 @@ def four_cpus_one_blas_thread(monkeypatch):
 @pytest.mark.parametrize("receivers", [2, 3, 4])
 def test_concurrent_receivers_give_the_serial_json(monkeypatch, four_cpus_one_blas_thread,
                                                    receivers):
-    cfg = mini_config(num_receivers=receivers)
+    cfg = with_modes(mini_config(num_receivers=receivers), "disac", "disac-ls", "isac:1")
     assert harness._receiver_workers(receivers) == receivers
-    modes = [parse_mode(m) for m in ("disac", "disac-ls", "isac:1")]
-    concurrent = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
+    concurrent = [run_trial(cfg, i).canonical_dict() for i in range(2)]
     monkeypatch.setattr(harness, "_receiver_workers", lambda receivers: 1)
-    serial = [run_trial(cfg, i, modes).canonical_dict() for i in range(2)]
+    serial = [run_trial(cfg, i).canonical_dict() for i in range(2)]
     assert json.dumps(concurrent, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
 def test_a_failed_estimate_skips_only_its_receiver(monkeypatch, four_cpus_one_blas_thread):
-    cfg = mini_config()
+    cfg = with_modes(mini_config(), "disac")
     real = harness.estimate_paths
 
     def flaky(tensor, **kwargs):
@@ -449,18 +456,16 @@ def test_a_failed_estimate_skips_only_its_receiver(monkeypatch, four_cpus_one_bl
             raise RuntimeError("forced failure")
         return real(tensor, **kwargs)
 
-    modes = [parse_mode("disac")]
-    serial = run_trial(cfg, 0, modes)
+    serial = run_trial(cfg, 0)
     monkeypatch.setattr(harness, "estimate_paths", flaky)
-    result = run_trial(cfg, 0, modes)
+    result = run_trial(cfg, 0)
     assert result.skipped_receivers == {1: "estimation: forced failure"}
     assert result.num_paths == {0: serial.num_paths[0]}
 
 
 def test_a_failed_synthesis_fails_every_mode(monkeypatch, four_cpus_one_blas_thread):
     cfg = mini_config()
-    modes = [parse_mode(m) for m in cfg.modes]
-    serial = run_trial(cfg, 0, modes)
+    serial = run_trial(cfg, 0)
     real = ScenarioConfig.receiver_tensor
 
     def flaky(self, scene, rx_id, seed):
@@ -469,9 +474,9 @@ def test_a_failed_synthesis_fails_every_mode(monkeypatch, four_cpus_one_blas_thr
         return real(self, scene, rx_id, seed)
 
     monkeypatch.setattr(ScenarioConfig, "receiver_tensor", flaky)
-    result = run_trial(cfg, 0, modes)
+    result = run_trial(cfg, 0)
     assert {m: o.failure for m, o in result.outcomes.items()} == {
-        m.name: "synthesis: forced failure" for m in modes
+        m.name: "synthesis: forced failure" for m in cfg.modes
     }
     assert result.num_paths == {0: serial.num_paths[0]}
     assert result.skipped_receivers == {}
@@ -501,8 +506,7 @@ def test_a_trial_without_a_process_to_spare_runs_its_receivers_here(
     # the flag outlives the trial; monkeypatch resets it so that later tests still fork
     monkeypatch.setattr(harness, "_no_process_to_spare", False)
     cfg = mini_config(num_receivers=3)
-    modes = [parse_mode(m) for m in cfg.modes]
-    serial = run_trial(cfg, 0, modes).canonical_dict()
+    serial = run_trial(cfg, 0).canonical_dict()
 
     def no_fork():
         raise OSError("no process to spare")
@@ -510,7 +514,7 @@ def test_a_trial_without_a_process_to_spare_runs_its_receivers_here(
     monkeypatch.setattr(os, "fork", no_fork)
     descriptors = len(os.listdir("/proc/self/fd"))
     for _ in range(3):
-        assert run_trial(cfg, 0, modes).canonical_dict() == serial
+        assert run_trial(cfg, 0).canonical_dict() == serial
     # a failed fork leaks the 4 pipe descriptors multiprocessing opened for
     # it, so only the first trial may try one
     assert len(os.listdir("/proc/self/fd")) - descriptors <= 4
@@ -520,10 +524,9 @@ def test_a_trial_without_a_process_to_spare_runs_its_receivers_here(
 def test_a_daemonic_process_runs_its_receivers_itself(monkeypatch, four_cpus_one_blas_thread):
     # a pool worker is daemonic, and multiprocessing lets no daemonic process have children
     cfg = mini_config()
-    modes = [parse_mode(m) for m in cfg.modes]
-    serial = run_trial(cfg, 0, modes).canonical_dict()
+    serial = run_trial(cfg, 0).canonical_dict()
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-    assert run_trial(cfg, 0, modes).canonical_dict() == serial
+    assert run_trial(cfg, 0).canonical_dict() == serial
     assert no_child_process_left()
 
 
@@ -543,15 +546,14 @@ def test_an_interrupted_trial_leaves_no_child_process_behind(monkeypatch,
 
     monkeypatch.setattr(harness, "estimate_paths", interrupted_here)
     with pytest.raises(Interrupt):
-        run_trial(mini_config(), 0, [parse_mode("disac")])
+        run_trial(with_modes(mini_config(), "disac"), 0)
     assert no_child_process_left()
 
 
 def test_a_receiver_whose_process_dies_is_estimated_again(monkeypatch,
                                                           four_cpus_one_blas_thread):
     cfg = mini_config(num_receivers=3)
-    modes = [parse_mode(m) for m in cfg.modes]
-    serial = run_trial(cfg, 0, modes).canonical_dict()
+    serial = run_trial(cfg, 0).canonical_dict()
     parent = os.getpid()
     real = harness.estimate_paths
 
@@ -561,7 +563,7 @@ def test_a_receiver_whose_process_dies_is_estimated_again(monkeypatch,
         return real(tensor, **kwargs)
 
     monkeypatch.setattr(harness, "estimate_paths", dies_in_a_child)
-    assert run_trial(cfg, 0, modes).canonical_dict() == serial
+    assert run_trial(cfg, 0).canonical_dict() == serial
 
 
 class TwoPartError(RuntimeError):
@@ -582,7 +584,7 @@ class LockedError(RuntimeError):
 @pytest.mark.parametrize("error", [TwoPartError, LockedError])
 def test_an_error_that_cannot_cross_processes_still_skips_its_receiver(
         monkeypatch, four_cpus_one_blas_thread, error):
-    cfg = mini_config()
+    cfg = with_modes(mini_config(), "disac")
     real = harness.estimate_paths
 
     def flaky(tensor, **kwargs):
@@ -591,7 +593,7 @@ def test_an_error_that_cannot_cross_processes_still_skips_its_receiver(
         return real(tensor, **kwargs)
 
     monkeypatch.setattr(harness, "estimate_paths", flaky)
-    result = run_trial(cfg, 0, [parse_mode("disac")])
+    result = run_trial(cfg, 0)
     assert result.skipped_receivers == {1: "estimation: forced failure"}
 
 
@@ -649,9 +651,29 @@ def test_one_receiver_stays_within_its_memory_budget():
 
 
 def test_run_montecarlo_validates_isac_id():
-    cfg = mini_config()
+    # the modes are checked when the config resolves, before any trial runs
     with pytest.raises(ConfigError, match="isac:5"):
-        run_montecarlo(cfg, modes=["isac:5"], trials=1)
+        scenario_from_dict({**MINI, "modes": ["isac:5"]})
+    # a trials override passes the config's check
+    with pytest.raises(ConfigError, match=r"^trials: expected an integer >= 1, got 0$"):
+        run_montecarlo(mini_config(), trials=0)
+
+
+def test_a_mode_is_reported_under_its_canonical_name(tmp_path):
+    # one receiver alone must fuse clusters of single points
+    raw = {**MINI, "modes": ["disac", "isac:01"], "clustering": {"min_points": 1}}
+    mc = run_montecarlo(scenario_from_dict(raw))
+    assert mc.modes == ["disac", "isac:1"]
+    s = mc.summary()["isac:1"]
+    assert s["trials"] == 2 and s["failed_trials"] == 0 and s["targets_total"] == 2
+    path = tmp_path / "out.csv"
+    write_csv(mc, str(path))
+    with open(path, newline="") as fh:
+        rows = [tuple(r) for r in csv.reader(fh)][1:]
+    isac = [r for r in rows if r[1] == "isac:1"]
+    expected = sum(len(oc.ue_errors) + len(oc.target_detected)
+                   for oc in (tr.outcomes["isac:1"] for tr in mc.trials))
+    assert isac and len(isac) == expected and len(set(rows)) == len(rows)
 
 
 def test_summary_denominators():
@@ -762,9 +784,20 @@ def test_write_scene_holds_the_dataclass_fields(tmp_path):
     assert doc["speed_of_light"] == scene.speed_of_light and doc["phase_seed"] == 0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_every_readme_config_resolves():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    blocks = re.findall(r"^```yaml\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
     assert blocks
     for block in blocks:
         scenario_from_dict(yaml.safe_load(block))
+
+
+def test_every_readme_command_parses():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("disacsim ")]
+    assert commands
+    for command in commands:
+        cli.build_parser().parse_args(shlex.split(command)[1:])  # argparse exits on a bad flag
