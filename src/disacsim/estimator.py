@@ -183,8 +183,14 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     """Rank-``rank`` canonical polyadic decomposition of an order-5 tensor.
 
     Alternating least squares from random complex Gaussian starts. Each
-    restart r uses an independent generator keyed (seed + r); the restart
-    with the smallest final residual wins, ties going to the lowest r. The
+    restart r draws its start from a Philox generator keyed
+    ``[seed + r, 2]``; the restart with the smallest final residual wins,
+    ties going to the lowest r. These streams are not independent across
+    calls whose seeds lie closer than the restart count: in a trial,
+    harness.receiver_seed gives neighbouring receivers seeds one apart, so
+    receiver 0's restart 1 starts where receiver 1's restart 0 does, and
+    so on along the diagonal (ROADMAP item 2 gives the restart its own key
+    word, which moves every canonical digest). The
     residual of each restart is checked to be non-increasing across sweeps,
     which exact per-mode least squares guarantees up to roundoff.
 

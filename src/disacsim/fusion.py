@@ -12,8 +12,10 @@ and every receiver adds four line-of-sight rows:
     spatial: p_n - r_los_n * u_los = p_bs                    (3 rows)
     delay:   r_los_n + c * dt_n    = c * tau_los             (1 row)
 
-Rows are weighted by the |gain| of the generating path. The unknown
-vector is laid out block-wise as
+A target cluster is a flat list of the path measurements associated
+with one target, each carrying its receiver's ue_id. Rows are weighted
+by the |gain| of the generating path. The unknown vector is laid out
+block-wise as
 
     [ r_m (per target, ascending id)
     | d_{m,n} (per observed (target, receiver) pair, target-major)
@@ -102,12 +104,10 @@ class LosMeasurement:
 @dataclass
 class UnknownLayout:
     """Column bookkeeping for the joint system: each map sends an id to
-    the column of its unknown."""
+    the column of its unknown. The range_cols keys are the target ids and
+    the offset_cols keys the receiver ids, both ascending."""
 
-    target_ids: list[int]
-    pair_cols: dict[tuple[int, int], int]  # (target_id, ue_id) -> d_{m,n}
-    ue_ids: list[int]
-    num_unknowns: int = 0
+    pair_cols: dict[tuple[int, int], int] = field(default_factory=dict)  # (m, ue_id) -> d_{m,n}
     labels: list[str] = field(default_factory=list)  # column -> the unknown it holds
     range_cols: dict[int, int] = field(default_factory=dict)  # target_id -> r_m
     offset_cols: dict[int, int] = field(default_factory=dict)  # ue_id -> c * dt_n
@@ -118,7 +118,7 @@ class UnknownLayout:
     def build(cls, target_ids, observed_pairs, ue_ids) -> "UnknownLayout":
         target_ids = sorted(target_ids)
         ue_ids = sorted(ue_ids)
-        layout = cls(target_ids=target_ids, pair_cols={}, ue_ids=ue_ids)
+        layout = cls()
         labels = layout.labels
         for m in target_ids:
             layout.range_cols[m] = len(labels)
@@ -137,7 +137,6 @@ class UnknownLayout:
         for n in ue_ids:
             layout.los_range_cols[n] = len(labels)
             labels.append(f"r_los[receiver {n}]")
-        layout.num_unknowns = len(labels)
         return layout
 
 
@@ -152,91 +151,69 @@ class LinearSystem:
 
 
 def build_joint_system(
-    clusters: dict[int, dict[int, list[PathMeasurement]]],
+    clusters: dict[int, list[PathMeasurement]],
     los: dict[int, LosMeasurement],
     p_bs,
     speed_of_light: float,
 ) -> LinearSystem:
     """Assemble the fusion-center system from clustered measurements.
 
-    clusters maps target index -> receiver id -> associated path
-    measurements; los maps receiver id -> its direct-path measurement.
-    Every receiver in ``los`` contributes its four LoS rows whether or
-    not it observed any cluster.
+    clusters maps target label -> its path measurements, each naming its
+    receiver by ue_id; los maps receiver id -> its direct-path
+    measurement. Rows run by target (ascending), then receiver
+    (ascending), then input order, and end with each receiver's LoS rows.
 
-    A receiver whose paths all fell outside every cluster cannot be
-    jointly localized: its block has five unknowns against its four LoS
-    rows. Such receivers are left out of the system (and out of the
-    estimate) instead of making it singular.
+    Only receivers with a LoS entry and at least one associated path are
+    kept: one without paths has five unknowns against its four LoS rows.
+    Each kept receiver brings a path, so the rows (four per path and per
+    receiver) always outnumber the unknowns (one per target, one per
+    observed target-receiver pair, five per receiver).
 
-    Raises UnderdeterminedError when the assembled system has fewer rows
-    than unknowns (for example no target clusters at all, which leaves
-    clock offsets unobservable).
+    Raises UnderdeterminedError when no receiver has an associated
+    reflection path, which leaves the clock offsets unobservable.
     """
     p_bs = as_vec3(p_bs)
     c = speed_of_light
     if not los:
         raise ValueError("at least one receiver with a LoS measurement is required")
-    informative = {
-        n
-        for per_ue in clusters.values()
-        for n, ms in per_ue.items()
-        if len(ms) > 0 and n in los
-    }
-    ue_ids = sorted(informative)
-    if not ue_ids:
+    kept = {}
+    for m in sorted(clusters):
+        ms = [meas for meas in clusters[m] if meas.ue_id in los]
+        if ms:
+            kept[m] = sorted(ms, key=lambda meas: meas.ue_id)  # stable: paths keep input order
+    if not kept:
         raise UnderdeterminedError(
             f"{4 * len(los)} rows < {5 * len(los)} unknowns; deficient: "
             "timing-offset/LoS block (no receiver has an associated reflection path)",
             rows=4 * len(los),
             unknowns=5 * len(los),
         )
-    pruned = {
-        m: {n: ms for n, ms in per_ue.items() if n in informative and len(ms) > 0}
-        for m, per_ue in clusters.items()
-    }
-    pruned = {m: per_ue for m, per_ue in pruned.items() if per_ue}
-    target_ids = sorted(pruned.keys())
-    observed = {(m, n) for m in target_ids for n in pruned[m]}
-    layout = UnknownLayout.build(target_ids, observed, ue_ids)
+    observed = {(m, meas.ue_id) for m, ms in kept.items() for meas in ms}
+    ue_ids = sorted({n for _, n in observed})
+    layout = UnknownLayout.build(kept, observed, ue_ids)
 
-    total_paths = sum(len(ms) for per_ue in pruned.values() for ms in per_ue.values())
-    rows = 4 * total_paths + 4 * len(ue_ids)
-    if rows < layout.num_unknowns:
-        block = (
-            "timing-offset/LoS block (no target clusters tie the clocks to geometry)"
-            if not target_ids
-            else "target range block (too few associated paths)"
-        )
-        raise UnderdeterminedError(
-            f"{rows} rows < {layout.num_unknowns} unknowns; deficient: {block}",
-            rows=rows,
-            unknowns=layout.num_unknowns,
-        )
-
-    a = np.zeros((rows, layout.num_unknowns))
+    rows = 4 * sum(len(ms) for ms in kept.values()) + 4 * len(ue_ids)
+    a = np.zeros((rows, len(layout.labels)))
     b = np.zeros(rows)
     w = np.zeros(rows)
     r = 0
-    for m in target_ids:
-        for n in sorted(pruned[m].keys()):
-            for meas in pruned[m][n]:
-                if meas.ue_id != n:
-                    raise ValueError("measurement filed under the wrong receiver")
-                cr, cd = layout.range_cols[m], layout.pair_cols[(m, n)]
-                cp, ct = layout.position_cols[n], layout.offset_cols[n]
-                a[r : r + 3, cr] = meas.u_bs
-                a[r : r + 3, cd] = meas.u_v
-                a[r : r + 3, cp : cp + 3] = -_EYE3
-                b[r : r + 3] = -p_bs
-                w[r : r + 3] = meas.weight
-                r += 3
-                a[r, cr] = 1.0
-                a[r, cd] = 1.0
-                a[r, ct] = 1.0  # clock column in meters (c * dt)
-                b[r] = c * meas.delay
-                w[r] = meas.weight
-                r += 1
+    for m, ms in kept.items():
+        for meas in ms:
+            n = meas.ue_id
+            cr, cd = layout.range_cols[m], layout.pair_cols[(m, n)]
+            cp, ct = layout.position_cols[n], layout.offset_cols[n]
+            a[r : r + 3, cr] = meas.u_bs
+            a[r : r + 3, cd] = meas.u_v
+            a[r : r + 3, cp : cp + 3] = -_EYE3
+            b[r : r + 3] = -p_bs
+            w[r : r + 3] = meas.weight
+            r += 3
+            a[r, cr] = 1.0
+            a[r, cd] = 1.0
+            a[r, ct] = 1.0  # clock column in meters (c * dt)
+            b[r] = c * meas.delay
+            w[r] = meas.weight
+            r += 1
     for n in ue_ids:
         meas = los[n]
         cp, ct, cl = layout.position_cols[n], layout.offset_cols[n], layout.los_range_cols[n]
@@ -323,24 +300,24 @@ class SceneEstimate:
     bs_target_ranges: dict[int, float]
     excluded_targets: dict[int, str]
     residual: float
-    weighting: str = "wls"
 
 
 def extract_estimate(
     x: np.ndarray,
     layout: UnknownLayout,
-    clusters: dict[int, dict[int, list[PathMeasurement]]],
+    clusters: dict[int, list[PathMeasurement]],
     p_bs,
     speed_of_light: float,
     residual: float,
-    weighting: str = "wls",
 ) -> SceneEstimate:
     """Turn the solution vector into positions and offsets.
 
-    The representative point of target m is p_bs + r_m * u_mean, where
-    u_mean is the weight-averaged (and renormalized) transmitter-side
-    unit vector over the cluster's paths. Targets with a negative
-    estimated range are excluded and reported with a reason.
+    clusters maps target label -> its path measurements, as given to
+    build_joint_system. The representative point of target m is
+    p_bs + r_m * u_mean, where u_mean is the weight-averaged (and
+    renormalized) transmitter-side unit vector over the paths of
+    clusters[m], in list order. Targets with a negative estimated range
+    are excluded and reported with a reason.
     """
     p_bs = as_vec3(p_bs)
     ue_positions = {n: x[c : c + 3].copy() for n, c in layout.position_cols.items()}
@@ -349,15 +326,14 @@ def extract_estimate(
     target_points: dict[int, np.ndarray] = {}
     ranges: dict[int, float] = {}
     excluded: dict[int, str] = {}
-    for m in layout.target_ids:
-        r_m = float(x[layout.range_cols[m]])
+    for m, col in layout.range_cols.items():
+        r_m = float(x[col])
         if r_m < 0.0:
             excluded[m] = f"negative transmitter range {r_m:.3f} m"
             continue
         acc = np.zeros(3)
-        for ms in clusters[m].values():
-            for meas in ms:
-                acc += meas.weight * meas.u_bs
+        for meas in clusters[m]:
+            acc += meas.weight * meas.u_bs
         norm = np.sqrt(acc @ acc)
         if norm == 0.0:
             excluded[m] = "degenerate direction average"
@@ -373,12 +349,11 @@ def extract_estimate(
         bs_target_ranges=ranges,
         excluded_targets=excluded,
         residual=residual,
-        weighting=weighting,
     )
 
 
 def run_fusion(
-    clusters: dict[int, dict[int, list[PathMeasurement]]],
+    clusters: dict[int, list[PathMeasurement]],
     los: dict[int, LosMeasurement],
     p_bs,
     speed_of_light: float,
@@ -398,6 +373,4 @@ def run_fusion(
     except IllConditionedError as exc:
         col = exc.dependent_column
         raise IllConditionedError(f"{exc} ({system.layout.labels[col]})", col) from exc
-    return extract_estimate(
-        x, system.layout, clusters, p_bs, speed_of_light, residual, weighting=weighting
-    )
+    return extract_estimate(x, system.layout, clusters, p_bs, speed_of_light, residual)

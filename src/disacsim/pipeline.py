@@ -62,11 +62,7 @@ class LocalizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def unwrap_delays(
-    paths: list[EstimatedPath],
-    delay_period: float,
-    slack_fraction: float = UNWRAP_SLACK_FRACTION,
-) -> list[EstimatedPath]:
+def unwrap_delays(paths: list[EstimatedPath], delay_period: float) -> list[EstimatedPath]:
     """Shift all delays into one period anchored at the strongest path.
 
     The strongest path is usually the direct one, and every other path
@@ -74,16 +70,17 @@ def unwrap_delays(
     mapped into [t_ref - slack, t_ref - slack + period), which keeps the
     intra-receiver delay structure intact as long as true delays span
     less than one period and lie within [-slack, period - slack) of the
-    anchor's true delay. The default quarter-period slack also survives
-    the occasional case where a strong close-in reflection beats the
-    direct path in gain while trailing it in delay.
+    anchor's true delay. The slack is UNWRAP_SLACK_FRACTION (a quarter)
+    of the period, which also survives the occasional case where a
+    strong close-in reflection beats the direct path in gain while
+    trailing it in delay.
     """
     if not paths:
         return []
     if delay_period <= 0.0:
         raise ValueError("delay_period must be positive")
     ref = max(paths, key=lambda p: abs(p.gain)).delay
-    lo = ref - slack_fraction * delay_period
+    lo = ref - UNWRAP_SLACK_FRACTION * delay_period
     return [replace(p, delay=lo + (p.delay - lo) % delay_period) for p in paths]
 
 
@@ -217,7 +214,7 @@ def localize_single(
         ue_id=ue_id, u_los=u_los, delay=los_path.delay, weight=abs(los_path.gain)
     )
 
-    clusters = {m.path_index: {ue_id: [m]} for m in measurements}
+    clusters = {m.path_index: [m] for m in measurements}
     try:
         estimate = run_fusion(clusters, {ue_id: los_meas}, p_bs, speed_of_light, weighting)
     except IllConditionedError as exc:
@@ -326,14 +323,16 @@ def build_associations(
     results: list[SingleReceiverResult],
     eps: float = DEFAULT_EPS_M,
     min_points: int = DEFAULT_MIN_POINTS,
-) -> tuple[dict[int, dict[int, list[PathMeasurement]]], np.ndarray, list[PathMeasurement]]:
+) -> tuple[dict[int, list[PathMeasurement]], np.ndarray, list[PathMeasurement]]:
     """Pool coarse points across receivers and cluster them.
 
     Each receiver contributes the point of every path its single-receiver
     estimate kept. Returns (clusters, labels, pooled) where pooled lists
     the measurement behind each point, in the order of labels, and
-    clusters maps cluster label -> receiver id -> the measurements whose
-    points fell in that cluster. Noise points associate with nothing.
+    clusters maps cluster label -> the measurements whose points fell in
+    that cluster, in pooled order (receiver by receiver, as in results).
+    Each measurement names its receiver by ue_id. Noise points associate
+    with nothing.
     """
     pooled: list[PathMeasurement] = []
     coords = []
@@ -346,8 +345,8 @@ def build_associations(
     if not pooled:
         return {}, np.empty(0, dtype=int), []
     labels = dbscan(np.stack(coords), eps=eps, min_points=min_points)
-    clusters: dict[int, dict[int, list[PathMeasurement]]] = {}
+    clusters: dict[int, list[PathMeasurement]] = {}
     for m, label in zip(pooled, labels):
         if label != NOISE_LABEL:
-            clusters.setdefault(int(label), {}).setdefault(m.ue_id, []).append(m)
+            clusters.setdefault(int(label), []).append(m)
     return clusters, labels, pooled

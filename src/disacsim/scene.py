@@ -274,9 +274,13 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     and one per clutter scatterer. Amplitudes follow a free-space spread
     model: lambda / (4*pi*r) for the direct path and
     reflectivity * lambda / (4*pi*(r + d)) for bounced paths, where r and
-    d are the two hop lengths. Phases are uniform, drawn from a
-    counter-based generator keyed on (scene.phase_seed, receiver id), so
-    repeated calls are reproducible.
+    d are the two hop lengths. Phases are uniform, drawn from a Philox
+    generator keyed ``[scene.phase_seed + rx_id, 7]``, so repeated calls
+    are reproducible. The key adds the receiver id to the seed, and
+    random_scene sets phase_seed to the trial seed, so trial t's receiver 1
+    draws the phases of trial t+1's receiver 0, and so on along the
+    diagonal (ROADMAP item 2 gives each index its own key word, which
+    moves every canonical digest).
 
     Returns
     -------
@@ -394,6 +398,17 @@ class SceneConfig:
         self.clutter_box = check_box(self.clutter_box)
         if not 0.0 <= self.clutter_in_foi_fraction <= 1.0:
             raise ValueError("clutter_in_foi_fraction must lie in [0, 1]")
+        for name in ("target_reflectivity_range", "clutter_reflectivity_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi:
+                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
+        # a cube of side e holds points up to e * sqrt(3) apart, and the
+        # ground clamp is a projection, so it cannot spread them further
+        max_extent = ExtendedTarget.MAX_EXTENT_M / np.sqrt(3.0)
+        if not 0.0 <= self.target_extent_m <= max_extent:
+            raise ValueError(
+                f"target_extent_m must lie in [0, {max_extent:.2f}] m, got {self.target_extent_m}"
+            )
 
 
 def check_box(box) -> np.ndarray:

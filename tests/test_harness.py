@@ -220,6 +220,23 @@ def test_config_rejects_bad_values():
                                 ("clustering", "eps_m", inf)]:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a finite number"):
             scenario_from_dict({"schema": SCHEMA, section: {key: value}})
+    # scene settings that would fail every trial at scene sampling; clutter
+    # reflectivity above 1 stays allowed
+    for key, value, message in [
+        ("target_reflectivity_range", [-1, -0.5], "0 <= lo <= hi"),
+        ("clutter_reflectivity_range", [-0.1, 0.5], "0 <= lo <= hi"),
+        ("target_reflectivity_range", [2.0, 1.0], "0 <= lo <= hi"),
+        ("clutter_reflectivity_range", [0.9, 0.3], "0 <= lo <= hi"),
+        ("target_extent_m", -0.1, r"lie in \[0, 3\.46\] m"),
+        ("target_extent_m", 5.0, r"lie in \[0, 3\.46\] m"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^scene: {key} must .*{message}"):
+            scenario_from_dict({"schema": SCHEMA, "scene": {key: value}})
+    scene = scenario_from_dict(
+        {"schema": SCHEMA, "scene": {"clutter_reflectivity_range": [0.5, 1.5],
+                                     "target_extent_m": 3.4}}
+    ).scene
+    assert scene.clutter_reflectivity_range == (0.5, 1.5) and scene.target_extent_m == 3.4
     # a negative tolerance would silently switch the ALS tolerance stop off
     with pytest.raises(ConfigError, match=r"^estimation: rel_tol must be a number >= 0"):
         scenario_from_dict({"schema": SCHEMA, "estimation": {"rel_tol": -1}})
@@ -422,6 +439,27 @@ def test_run_trial_without_modes_skips_no_receiver():
     result = run_trial(with_modes(mini_config()), 0)
     assert result.outcomes == {} and result.skipped_receivers == {}
     assert sorted(result.num_paths) == [0, 1]
+
+
+def test_an_unsampleable_scene_fails_every_mode():
+    cfg = mini_config(min_separation_m=1000.0)
+    result = run_trial(cfg, 0)
+    assert sorted(result.outcomes) == sorted(m.name for m in cfg.modes)
+    for outcome in result.outcomes.values():
+        assert outcome.failure.startswith("scene: could not place receiver after ")
+    assert result.num_paths == {} and result.skipped_receivers == {}
+
+
+def test_a_mode_whose_receivers_were_all_skipped_fails(monkeypatch):
+    monkeypatch.setattr(
+        harness, "process_receiver", lambda *args: ({}, "pipeline: forced failure")
+    )
+    cfg = mini_config()
+    result = run_trial(cfg, 0)
+    assert result.skipped_receivers == {0: "pipeline: forced failure", 1: "pipeline: forced failure"}
+    assert {m: o.failure for m, o in result.outcomes.items()} == {
+        m.name: "pipeline: no usable receivers for this mode" for m in cfg.modes
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,8 @@ def test_unwrap_restores_wrapped_delay():
 
 def test_unwrap_keeps_slightly_early_paths():
     paths = [path(gain=3.0, delay=500e-9), path(gain=1.0, delay=490e-9)]
-    out = unwrap_delays(paths, PERIOD, slack_fraction=0.25)
+    out = unwrap_delays(paths, PERIOD)
     assert out[1].delay == pytest.approx(490e-9, abs=1e-15)
-    # with no slack everything is forced at or after the anchor
-    out = unwrap_delays(paths, PERIOD, slack_fraction=0.0)
-    assert out[1].delay == pytest.approx(490e-9 + PERIOD, abs=1e-15)
 
 
 def test_unwrap_rejects_bad_period():
@@ -282,8 +279,7 @@ def test_localize_single_drops_negative_range():
     # the dropped path is never pooled, so it joins no cluster
     clusters, labels, pooled = build_associations([res], eps=2.0, min_points=1)
     assert [m.path_index for m in pooled] == [1] and labels.tolist() == [0]
-    assert all(m.path_index != 2 for per_ue in clusters.values()
-               for ms in per_ue.values() for m in ms)
+    assert all(m.path_index != 2 for ms in clusters.values() for m in ms)
 
 
 def test_path_directions_frames():
@@ -334,7 +330,6 @@ def test_process_receiver_matches_the_stage_calls():
             rx_orientation=rx.orientation, p_bs=scene.tx.position,
             speed_of_light=scene.speed_of_light, weighting=w,
         )
-        assert res.estimate.weighting == w
         records = zip([res.los, *res.measurements], [direct.los, *direct.measurements])
         for got, want in records:
             for key, value in vars(want).items():
@@ -453,8 +448,7 @@ def test_build_associations_two_targets_two_receivers():
     np.testing.assert_array_equal(labels, [0, 1, 0, 1])
     assert sorted(clusters) == [0, 1]
     for label in (0, 1):
-        assert sorted(clusters[label]) == [0, 1]
-        assert all(len(ms) == 1 for ms in clusters[label].values())
+        assert [m.ue_id for m in clusters[label]] == [0, 1]
 
 
 def test_build_associations_empty():
