@@ -27,7 +27,7 @@ from .harness import (
     write_results,
     write_scene,
 )
-from .scene import random_scene
+from .scene import SceneSamplingError, random_scene
 from .waveform import export_tensor, load_tensor
 
 logger = logging.getLogger(__name__)
@@ -38,6 +38,9 @@ def _scenario(args) -> ScenarioConfig:
     flags = {"seed": args.seed, "trials": getattr(args, "trials", None),
              "modes": getattr(args, "mode", None)}
     overrides = {key: value for key, value in flags.items() if value is not None}
+    for key, minimum in (("seed", 0), ("trials", 1)):
+        if key in overrides:
+            overrides[key] = _int_flag(f"--{key}", overrides[key], minimum)
     if args.config:
         return load_config(args.config, **overrides)
     return default_scenario(**overrides)
@@ -58,7 +61,10 @@ def _path_to_dict(p: EstimatedPath) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _scenario(args)
-    scene = random_scene(config.scene, config.seed)
+    try:
+        scene = random_scene(config.scene, config.seed)
+    except SceneSamplingError as exc:  # the recipe cannot be met: a config fault
+        raise ConfigError(f"scene: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     scene_path = os.path.join(args.out_dir, "scene.json")
     write_scene(scene, scene_path)
@@ -139,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, modes=True, trials=False):
         p.add_argument("--config", help="scenario YAML (defaults to the stock scenario)")
-        p.add_argument("--seed", type=int, help="override the base seed")
+        p.add_argument("--seed", help="override the base seed")
         if modes:
             p.add_argument(
                 "--mode",
@@ -147,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="mode to run (disac, disac-ls, isac:<id>[-ls]); repeatable",
             )
         if trials:
-            p.add_argument("--trials", type=int, help="override the trial count")
+            p.add_argument("--trials", help="override the trial count")
 
     p = sub.add_parser("simulate", help="draw a scene and export its tensors")
     common(p, modes=False)

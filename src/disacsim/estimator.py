@@ -34,7 +34,6 @@ from .waveform import (
     beam_response,
     expected_noise_energy,
     path_beam_factors,
-    rank_one_sum,
 )
 
 logger = logging.getLogger(__name__)
@@ -85,24 +84,25 @@ class CpFactors:
     its largest-magnitude entry rotated to the positive real axis, so the
     decomposition is unique up to column permutation when the underlying
     model is. residual_history is the per-sweep absolute residual of the
-    winning restart, sweeps its length, and converged tells whether that
-    restart stopped on rel_tol or an exact fit (True) or at max_sweeps
-    (False). None of these enter a canonical record.
+    winning restart (empty for a zero tensor, which needs no sweep),
+    sweeps its length, and converged tells whether that restart stopped
+    on rel_tol or an exact fit (True) or at max_sweeps (False). None of
+    these enter a canonical record.
     """
 
     factors: list[np.ndarray]
     gains: np.ndarray
     residual: float
     residual_history: list[float] = field(default_factory=list)
-    sweeps: int = 0
     converged: bool = False
 
     @property
     def rank(self) -> int:
         return len(self.gains)
 
-    def reconstruct(self) -> np.ndarray:
-        return rank_one_sum(self.gains, [f.T for f in self.factors])
+    @property
+    def sweeps(self) -> int:
+        return len(self.residual_history)
 
 
 def _pivot_rotation(column: np.ndarray) -> complex:
@@ -247,8 +247,6 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
             factors=factors,
             gains=np.zeros(rank, dtype=complex),
             residual=0.0,
-            residual_history=[0.0],
-            sweeps=0,
             converged=True,
         )
 
@@ -274,9 +272,7 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
 
     def record(k: int, converged: bool):
         r = int(running[k])
-        cp = _finalize([f[k] for f in factors], histories[r][-1], histories[r])
-        cp.sweeps, cp.converged = len(histories[r]), converged
-        done[r] = cp
+        done[r] = _finalize([f[k] for f in factors], histories[r], converged)
 
     for sweep in range(opts.max_sweeps):
         n_run = len(running)
@@ -336,7 +332,7 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     return min((done[r] for r in range(opts.restarts)), key=lambda cp: cp.residual)
 
 
-def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) -> CpFactors:
+def _finalize(factors: list[np.ndarray], history: list[float], converged: bool) -> CpFactors:
     rank = factors[0].shape[1]
     gains = np.ones(rank, dtype=complex)
     unit = []
@@ -351,7 +347,8 @@ def _finalize(factors: list[np.ndarray], residual: float, history: list[float]) 
             cols.append(fn[:, l] * rot)
             gains[l] = gains[l] / rot
         unit.append(np.stack(cols, axis=1))
-    return CpFactors(factors=unit, gains=gains, residual=residual, residual_history=history)
+    return CpFactors(factors=unit, gains=gains, residual=history[-1], residual_history=history,
+                     converged=converged)
 
 
 # ---------------------------------------------------------------------------

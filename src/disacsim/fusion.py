@@ -47,12 +47,7 @@ _EYE3 = np.eye(3)  # shared, so the per-row position blocks allocate nothing
 
 
 class UnderdeterminedError(RuntimeError):
-    """Fewer (weighted) rows than unknowns at build time."""
-
-    def __init__(self, message: str, rows: int, unknowns: int):
-        super().__init__(message)
-        self.rows = rows
-        self.unknowns = unknowns
+    """Fewer rows than unknowns; the message gives both counts."""
 
 
 class IllConditionedError(RuntimeError):
@@ -184,9 +179,7 @@ def build_joint_system(
     if not kept:
         raise UnderdeterminedError(
             f"{4 * len(los)} rows < {5 * len(los)} unknowns; deficient: "
-            "timing-offset/LoS block (no receiver has an associated reflection path)",
-            rows=4 * len(los),
-            unknowns=5 * len(los),
+            "timing-offset/LoS block (no receiver has an associated reflection path)"
         )
     observed = {(m, meas.ue_id) for m, ms in kept.items() for meas in ms}
     ue_ids = sorted({n for _, n in observed})
@@ -258,11 +251,7 @@ def solve_wls(
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if a.shape[0] < a.shape[1]:
-        raise UnderdeterminedError(
-            f"{a.shape[0]} rows < {a.shape[1]} unknowns",
-            rows=a.shape[0],
-            unknowns=a.shape[1],
-        )
+        raise UnderdeterminedError(f"{a.shape[0]} rows < {a.shape[1]} unknowns")
     wmax = w.max() if w.size else 0.0
     if wmax <= 0.0:
         raise ValueError("all weights are zero")
@@ -291,13 +280,15 @@ def solve_wls(
 
 @dataclass
 class SceneEstimate:
-    """Joint estimate of receiver states and target positions."""
+    """Joint estimate of receiver states and target positions.
+
+    Receivers are keyed by ue_id, targets by cluster label; a target's
+    transmitter range is ||target_points[m] - p_bs||.
+    """
 
     ue_positions: dict[int, np.ndarray]
-    ue_timing_offsets: dict[int, float]
-    ue_los_ranges: dict[int, float]
+    ue_timing_offsets: dict[int, float]  # seconds
     target_points: dict[int, np.ndarray]
-    bs_target_ranges: dict[int, float]
     excluded_targets: dict[int, str]
     residual: float
 
@@ -317,14 +308,13 @@ def extract_estimate(
     p_bs + r_m * u_mean, where u_mean is the weight-averaged (and
     renormalized) transmitter-side unit vector over the paths of
     clusters[m], in list order. Targets with a negative estimated range
-    are excluded and reported with a reason.
+    are excluded and reported with a reason. The range unknowns only
+    serve the solve and are not returned.
     """
     p_bs = as_vec3(p_bs)
     ue_positions = {n: x[c : c + 3].copy() for n, c in layout.position_cols.items()}
     ue_offsets = {n: float(x[c]) / speed_of_light for n, c in layout.offset_cols.items()}
-    ue_los = {n: float(x[c]) for n, c in layout.los_range_cols.items()}
     target_points: dict[int, np.ndarray] = {}
-    ranges: dict[int, float] = {}
     excluded: dict[int, str] = {}
     for m, col in layout.range_cols.items():
         r_m = float(x[col])
@@ -340,13 +330,10 @@ def extract_estimate(
             continue
         u_mean = acc / norm
         target_points[m] = p_bs + r_m * u_mean
-        ranges[m] = r_m
     return SceneEstimate(
         ue_positions=ue_positions,
         ue_timing_offsets=ue_offsets,
-        ue_los_ranges=ue_los,
         target_points=target_points,
-        bs_target_ranges=ranges,
         excluded_targets=excluded,
         residual=residual,
     )

@@ -88,13 +88,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Mode:
-    kind: str  # "disac" or "isac"
+    """Receiver ``ue_id`` on its own (kind "isac") or, with ue_id None, every
+    usable receiver pooled (kind "disac"); weighting is "wls" or "ls"."""
+
     ue_id: int | None
-    weighting: str  # "wls" or "ls"
+    weighting: str
+
+    @property
+    def kind(self) -> str:
+        return "disac" if self.ue_id is None else "isac"
 
     @property
     def name(self) -> str:
-        base = self.kind if self.kind == "disac" else f"isac:{self.ue_id}"
+        base = "disac" if self.ue_id is None else f"isac:{self.ue_id}"
         return base if self.weighting == "wls" else base + "-ls"
 
 
@@ -103,13 +109,13 @@ def parse_mode(text: str) -> Mode:
     if base.endswith("-ls"):
         base, weighting = base[:-3], "ls"
     if base == "disac":
-        return Mode(kind="disac", ue_id=None, weighting=weighting)
+        return Mode(ue_id=None, weighting=weighting)
     if base.startswith("isac:"):
         try:
             ue_id = int(base[len("isac:"):])
         except ValueError:
             raise ConfigError(f"bad mode {text!r}: expected isac:<receiver id>") from None
-        return Mode(kind="isac", ue_id=ue_id, weighting=weighting)
+        return Mode(ue_id=ue_id, weighting=weighting)
     raise ConfigError(f"unknown mode {text!r} (expected disac, disac-ls or isac:<id>[-ls])")
 
 
@@ -174,8 +180,9 @@ def _radians(degrees) -> float:
 
 
 def _float_pair(value) -> tuple[float, float]:
-    lo, hi = value
-    return _number(lo), _number(hi)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:  # a string is a sequence too
+        raise ValueError(f"expected a list of two numbers, got {value!r}")
+    return _number(value[0]), _number(value[1])
 
 
 # One table per section: YAML key -> converter, or (argument name, converter)
@@ -291,7 +298,7 @@ class ScenarioConfig:
     detection_radius_m: float = 5.0
     seed: int = 0
     trials: int = 50
-    modes: tuple[Mode, ...] = (Mode(kind="disac", ue_id=None, weighting="wls"),)
+    modes: tuple[Mode, ...] = (Mode(ue_id=None, weighting="wls"),)
     raw: dict = field(default_factory=dict)
 
     def receiver_tensor(self, scene: Scene, rx_id: int, seed: int):
@@ -360,7 +367,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     )
     n_rx = scene_cfg.num_receivers
     for mode in config.modes:
-        if mode.kind == "isac" and not 0 <= mode.ue_id < n_rx:
+        if mode.ue_id is not None and not 0 <= mode.ue_id < n_rx:
             raise ConfigError(
                 f"modes: {mode.name!r} names receiver {mode.ue_id}, but the scenario has "
                 f"{n_rx} receivers (ids 0..{n_rx - 1})"
@@ -403,10 +410,6 @@ def percentile(values, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return float(np.quantile(vals, p, method="interpolated_inverted_cdf"))
-
-
-def median(values) -> float:
-    return percentile(values, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +508,17 @@ def _evaluate_mode(
     scene: Scene,
     detection_radius: float,
     num_clusters: int,
+    delay_period: float | None = None,
 ) -> ModeOutcome:
     out = ModeOutcome(mode=mode.name, num_clusters=num_clusters, residual=estimate.residual)
     for n, p_hat in estimate.ue_positions.items():
         rx = scene.receiver(n)
         out.ue_errors[n] = float(np.linalg.norm(p_hat - rx.position))
     for n, dt_hat in estimate.ue_timing_offsets.items():
-        rx = scene.receiver(n)
-        out.to_errors[n] = abs(dt_hat - rx.timing_offset)
+        truth = scene.receiver(n).timing_offset
+        if delay_period is not None:  # offsets are known modulo it: take the nearest to truth
+            dt_hat += delay_period * round((truth - dt_hat) / delay_period)
+        out.to_errors[n] = abs(dt_hat - truth)
     detected, errors, false_alarms = match_targets(estimate, scene, detection_radius)
     out.target_detected = detected
     out.target_errors = errors
@@ -680,7 +686,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialResult:
     t0 = time.perf_counter()
     for mode in config.modes:
         usable = single[mode.weighting]
-        wanted = [mode.ue_id] if mode.kind == "isac" else sorted(usable)
+        wanted = sorted(usable) if mode.ue_id is None else [mode.ue_id]
         results = [usable[n] for n in wanted if n in usable]
         if not results:
             result.outcomes[mode.name] = ModeOutcome(
@@ -706,16 +712,12 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialResult:
             )
             continue
         # clock offsets are identifiable modulo the delay period
+        period = config.ofdm.delay_period
         estimate.ue_timing_offsets = {
-            n: wrap_timing_offset(v, config.ofdm.delay_period)
-            for n, v in estimate.ue_timing_offsets.items()
+            n: wrap_timing_offset(v, period) for n, v in estimate.ue_timing_offsets.items()
         }
         result.outcomes[mode.name] = _evaluate_mode(
-            mode,
-            estimate,
-            scene,
-            config.detection_radius_m,
-            num_clusters=len(clusters),
+            mode, estimate, scene, config.detection_radius_m, len(clusters), period
         )
     result.runtimes["fusion"] = time.perf_counter() - t0
     return result
@@ -752,10 +754,10 @@ class MonteCarloResult:
             out[mode] = {
                 "trials": len(self.trials),
                 "failed_trials": failed,
-                "ue_error_median_m": median(ue_errs) if ue_errs else None,
+                "ue_error_median_m": percentile(ue_errs, 0.5) if ue_errs else None,
                 "ue_error_p80_m": percentile(ue_errs, 0.8) if ue_errs else None,
-                "to_error_median_s": median(to_errs) if to_errs else None,
-                "target_error_median_m": median(tgt_errs) if tgt_errs else None,
+                "to_error_median_s": percentile(to_errs, 0.5) if to_errs else None,
+                "target_error_median_m": percentile(tgt_errs, 0.5) if tgt_errs else None,
                 "target_error_p80_m": percentile(tgt_errs, 0.8) if tgt_errs else None,
                 "targets_detected": detected,
                 "targets_total": total_targets,

@@ -144,10 +144,13 @@ class SingleReceiverResult:
     each kept path and excluded_targets the dropped paths with reasons.
     """
 
-    ue_id: int
     measurements: list[PathMeasurement]
     los: LosMeasurement
     estimate: SceneEstimate
+
+    @property
+    def ue_id(self) -> int:
+        return self.los.ue_id
 
 
 def path_directions(
@@ -219,9 +222,7 @@ def localize_single(
         estimate = run_fusion(clusters, {ue_id: los_meas}, p_bs, speed_of_light, weighting)
     except IllConditionedError as exc:
         raise LocalizationError(f"receiver {ue_id}: {exc}") from exc
-    return SingleReceiverResult(
-        ue_id=ue_id, measurements=measurements, los=los_meas, estimate=estimate
-    )
+    return SingleReceiverResult(measurements=measurements, los=los_meas, estimate=estimate)
 
 
 def process_receiver(

@@ -415,6 +415,8 @@ def check_box(box) -> np.ndarray:
     b = np.asarray(box, dtype=float)
     if b.shape != (3, 2) or np.any(b[:, 1] < b[:, 0]):
         raise ValueError("box must be (3, 2) with max >= min per axis")
+    if not np.all(np.isfinite(b)):  # NaN passes the order check; neither can be sampled
+        raise ValueError(f"box entries must be finite, got {b.tolist()}")
     return b
 
 

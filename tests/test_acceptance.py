@@ -275,7 +275,7 @@ def _detections(outcome):
 
 def test_criterion_6_cooperation_beats_single_link(desk_sweep):
     mc, elapsed = desk_sweep
-    from disacsim.harness import median
+    from disacsim.harness import percentile
 
     problems = []
 
@@ -292,9 +292,9 @@ def test_criterion_6_cooperation_beats_single_link(desk_sweep):
                     single.append(b.target_errors[tid])
         if not joint:
             problems.append(f"no commonly detected targets with {isac}")
-        elif median(joint) > median(single):
+        elif percentile(joint, 0.5) > percentile(single, 0.5):
             problems.append(
-                f"median vs {isac}: {median(joint):.3f} > {median(single):.3f}"
+                f"median vs {isac}: {percentile(joint, 0.5):.3f} > {percentile(single, 0.5):.3f}"
             )
 
     # (b) the joint mode never detects fewer targets in any trial

@@ -195,6 +195,25 @@ def test_integer_flags_and_settings_share_one_message(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --seed: expected an integer >= 0, got 'x'\n"
     assert main(["estimate", "--tensor", missing, "--restarts", "0"]) == 2
     assert capsys.readouterr().err == "config error: --restarts: expected an integer >= 1, got 0\n"
+    # the scenario commands convert --seed and --trials by the same rule
+    for argv, message in [
+        (["e2e", "--seed", "abc"], "--seed: expected an integer >= 0, got 'abc'"),
+        (["montecarlo", "--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
+        (["simulate", "--seed", "1.5"], "--seed: expected an integer >= 0, got '1.5'"),
+        (["montecarlo", "--trials", "0"], "--trials: expected an integer >= 1, got 0"),
+        (["montecarlo", "--trials", "two"], "--trials: expected an integer >= 1, got 'two'"),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_simulate_refuses_a_scene_it_cannot_place(tmp_path, capsys):
+    scene = {**MINI["scene"], "min_separation_m": 1000}
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, scene=scene),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("config error: scene: could not place receiver ")
+    assert not out_dir.exists()
 
 
 def test_estimate_rank_zero_returns_no_paths(tmp_path, capsys):

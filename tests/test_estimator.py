@@ -27,6 +27,7 @@ from disacsim.waveform import (
     expected_noise_energy,
     path_beam_factors,
     phase_ramp,
+    rank_one_sum,
     synthesize_tensor,
     tensor_from_paths,
 )
@@ -100,10 +101,15 @@ def test_cpd_rank_one_exact():
         assert abs(np.vdot(cp.factors[m][:, 0], truth[m])) == pytest.approx(1.0, abs=1e-8)
 
 
+def reconstruct(cp: CpFactors) -> np.ndarray:
+    """The tensor the CPD models: sum_l gain_l a_l o b_l o c_l o d_l o e_l."""
+    return rank_one_sum(cp.gains, [f.T for f in cp.factors])
+
+
 def test_cpd_reconstruct_consistency():
     tensor, _ = planted_tensor(2, [1.0, 0.5 + 0.5j])
     cp = cpd_als(tensor, 2, AlsOptions(restarts=2, seed=0))
-    recon = cp.reconstruct()
+    recon = reconstruct(cp)
     assert recon.shape == tensor.data.shape
     assert np.linalg.norm(tensor.data - recon) == pytest.approx(cp.residual, abs=1e-9)
     # every column has unit norm and its largest-magnitude entry real positive
@@ -133,7 +139,7 @@ def test_cpd_zero_tensor():
     cp = cpd_als(zero, 3)
     assert cp.residual == 0.0
     np.testing.assert_array_equal(cp.gains, np.zeros(3, dtype=complex))
-    assert cp.residual_history == [0.0]
+    assert cp.residual_history == [] and cp.sweeps == 0
 
 
 def test_als_options_reject_empty_runs():
@@ -297,7 +303,7 @@ def test_cpd_norm_identity_residual_is_the_direct_residual():
     for sweeps in (2, 300):
         cp = cpd_als(noisy, 3, AlsOptions(max_sweeps=sweeps, restarts=1, seed=0))
         assert cp.residual > 1e-3 * norm
-        direct = np.linalg.norm(noisy.data - cp.reconstruct())
+        direct = np.linalg.norm(noisy.data - reconstruct(cp))
         assert abs(cp.residual - direct) <= 1e-9 * norm
 
 
@@ -309,7 +315,7 @@ def test_cpd_exact_fit_takes_the_direct_residual():
     cp = cpd_als(exact, 1, AlsOptions(restarts=1, seed=3))
     assert cp.converged
     assert cp.residual <= 1e-10 * norm
-    assert np.linalg.norm(exact.data - cp.reconstruct()) <= 1e-10 * norm
+    assert np.linalg.norm(exact.data - reconstruct(cp)) <= 1e-10 * norm
 
 
 # ---------------------------------------------------------------------------

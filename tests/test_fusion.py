@@ -83,7 +83,7 @@ def test_build_no_informative_receivers():
     _, los = exact_inputs()
     with pytest.raises(UnderdeterminedError) as exc:
         build_joint_system({}, los, P_BS, SPEED_OF_LIGHT)
-    assert exc.value.rows == 8 and exc.value.unknowns == 10
+    assert str(exc.value).startswith("8 rows < 10 unknowns")
     assert "timing-offset/LoS block" in str(exc.value)
 
 
@@ -211,12 +211,9 @@ def test_fusion_noiseless_round_trip():
     for n in (0, 1):
         assert np.linalg.norm(est.ue_positions[n] - UE_POS[n]) < 1e-6
         assert abs(est.ue_timing_offsets[n] - UE_DT[n]) < 1e-12
-        assert est.ue_los_ranges[n] == pytest.approx(
-            np.linalg.norm(UE_POS[n] - P_BS), abs=1e-6
-        )
     for m in (0, 1):
         assert np.linalg.norm(est.target_points[m] - SCATTER[m]) < 1e-6
-        assert est.bs_target_ranges[m] == pytest.approx(
+        assert np.linalg.norm(est.target_points[m] - P_BS) == pytest.approx(
             np.linalg.norm(SCATTER[m] - P_BS), abs=1e-6
         )
     assert est.excluded_targets == {}

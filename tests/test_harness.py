@@ -29,7 +29,6 @@ from disacsim.harness import (
     default_scenario,
     load_config,
     match_targets,
-    median,
     parse_mode,
     percentile,
     receiver_seed,
@@ -89,7 +88,8 @@ def with_modes(cfg, *names):
 
 
 def test_parse_mode():
-    assert parse_mode("disac") == Mode(kind="disac", ue_id=None, weighting="wls")
+    assert parse_mode("disac") == Mode(ue_id=None, weighting="wls")
+    assert parse_mode("disac").kind == "disac"
     assert parse_mode("disac-ls").weighting == "ls"
     assert parse_mode("disac-ls").name == "disac-ls"
     m = parse_mode("isac:3")
@@ -237,6 +237,18 @@ def test_config_rejects_bad_values():
                                      "target_extent_m": 3.4}}
     ).scene
     assert scene.clutter_reflectivity_range == (0.5, 1.5) and scene.target_extent_m == 3.4
+    # a reflectivity range is a list of two numbers: the string "12" would
+    # unpack into (1.0, 2.0), and three numbers into Python's unpacking error
+    for value in ["12", [1, 2, 3], 0.5]:
+        with pytest.raises(ConfigError, match=r"^scene\.target_reflectivity_range: expected "
+                                              r"a list of two numbers, got "):
+            scenario_from_dict({"schema": SCHEMA, "scene": {"target_reflectivity_range": value}})
+    # a non-finite box entry passes the order check, then fails every trial at sampling
+    for corner in [[15.0, nan], [15.0, inf], [-inf, 20.0]]:
+        with pytest.raises(ConfigError, match=r"^scene\.ue_box: box entries must be finite"):
+            scenario_from_dict(
+                {"schema": SCHEMA, "scene": {"ue_box": [corner, [-8.0, 8.0], [1.2, 1.8]]}}
+            )
     # a negative tolerance would silently switch the ALS tolerance stop off
     with pytest.raises(ConfigError, match=r"^estimation: rel_tol must be a number >= 0"):
         scenario_from_dict({"schema": SCHEMA, "estimation": {"rel_tol": -1}})
@@ -267,12 +279,10 @@ def test_load_config(tmp_path):
 def test_percentile_validation():
     with pytest.raises(ValueError, match="empty"):
         percentile([], 0.5)
-    with pytest.raises(ValueError, match="empty"):
-        median([])
     with pytest.raises(ValueError, match="NaN"):
         percentile([1.0, float("nan")], 0.5)
     with pytest.raises(ValueError, match="NaN"):
-        median(iter([float("nan")]))
+        percentile(iter([float("nan")]), 0.5)
     with pytest.raises(ValueError, match="p must"):
         percentile([1.0, 2.0], 1.5)
     with pytest.raises(ValueError, match="p must"):
@@ -285,7 +295,7 @@ def test_percentile_single_sample():
     assert percentile([3.0], 0.0) == 3.0
     assert percentile([3.0], 0.2) == 3.0
     assert percentile([3.0], 1.0) == 3.0
-    assert median((3.0,)) == 3.0
+    assert percentile((3.0,), 0.5) == 3.0
 
 
 def test_quantile_hits_the_order_statistics():
@@ -310,8 +320,8 @@ def test_quantile_monotone_and_clamped():
 
 
 def test_median_and_percentile():
-    assert median([5.0]) == 5.0
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.0
+    assert percentile([5.0], 0.5) == 5.0
+    assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
     assert percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
 
 
@@ -331,11 +341,11 @@ def test_wrap_timing_offset():
 # ---------------------------------------------------------------------------
 
 
-def _match_scene():
+def _match_scene(timing_offset=0.0):
     tx = TransmitterNode(position=[0.0, 0.0, 14.0], array=UpaGeometry(4, 4, 0.01, 0.02))
     rx = ReceiverNode(
         node_id=0, position=[40.0, 2.0, 1.4], orientation=BORESIGHT_ALONG_X.copy(),
-        timing_offset=0.0, array=UpaGeometry(2, 2, 0.01, 0.02),
+        timing_offset=timing_offset, array=UpaGeometry(2, 2, 0.01, 0.02),
     )
     targets = [
         ExtendedTarget(0, np.array([[20.0, 0.0, 1.0]]), np.array([1.0])),
@@ -346,9 +356,9 @@ def _match_scene():
 
 def _estimate_with_points(points):
     return SceneEstimate(
-        ue_positions={}, ue_timing_offsets={}, ue_los_ranges={},
+        ue_positions={}, ue_timing_offsets={},
         target_points={i: np.asarray(p, dtype=float) for i, p in enumerate(points)},
-        bs_target_ranges={}, excluded_targets={}, residual=0.0,
+        excluded_targets={}, residual=0.0,
     )
 
 
@@ -412,6 +422,38 @@ def test_run_trial_noiseless_is_nearly_exact():
     assert oc.to_errors and all(e < 1e-11 for e in oc.to_errors.values())
     assert all(oc.target_detected.values())
     assert all(e < 1e-3 for e in oc.target_errors.values())
+
+
+def test_clock_offsets_are_compared_modulo_the_delay_period():
+    # offsets beyond half the 640 ns period are estimated as their wrapped
+    # representative; compared with the raw truth, they read about 640 ns off
+    raw = json.loads(json.dumps(MINI))
+    raw["seed"] = 5  # draws offsets of -529 and -481 ns
+    raw["scene"].update(scatter_points_per_target=1, timing_offset_range_ns=600)
+    raw["estimation"]["effective_snr_db"] = 180.0
+    cfg = with_modes(scenario_from_dict(raw), "disac")
+    period = cfg.ofdm.delay_period
+    offsets = [rx.timing_offset for rx in random_scene(cfg.scene, cfg.seed).receivers]
+    assert period == pytest.approx(640e-9) and min(map(abs, offsets)) > period / 2
+    oc = run_trial(cfg, 0).outcomes["disac"]
+    assert oc.failure is None and len(oc.to_errors) == 2
+    assert all(e < 1e-11 for e in oc.to_errors.values())
+
+
+def test_evaluate_mode_takes_the_offset_nearest_the_truth():
+    period = 640e-9
+    scene = _match_scene(timing_offset=319.5e-9)
+    estimate = SceneEstimate(
+        ue_positions={}, ue_timing_offsets={0: wrap_timing_offset(320.5e-9, period)},
+        target_points={}, excluded_targets={}, residual=0.0,
+    )
+    mode = parse_mode("disac")
+    assert estimate.ue_timing_offsets[0] == pytest.approx(-319.5e-9)
+    out = harness._evaluate_mode(mode, estimate, scene, 5.0, 0, period)
+    assert out.to_errors[0] == pytest.approx(1e-9, abs=1e-18)
+    # without a period the offsets are compared as they are
+    raw_error = harness._evaluate_mode(mode, estimate, scene, 5.0, 0).to_errors[0]
+    assert raw_error == pytest.approx(639e-9, abs=1e-18)
 
 
 def test_run_trial_skips_a_receiver_only_when_every_weighting_fails(monkeypatch):

@@ -182,9 +182,7 @@ def test_localize_single_noiseless_round_trip():
     truth = np.asarray(scene.receivers[0].position, dtype=float)
     assert np.linalg.norm(est.ue_positions[0] - truth) < 1e-6
     assert abs(est.ue_timing_offsets[0] - 37e-9) < 1e-12
-    assert est.ue_los_ranges[0] == pytest.approx(
-        np.linalg.norm(truth - scene.tx.position), abs=1e-6
-    )
+    assert res.ue_id == 0 and res.los.ue_id == 0
     assert est.excluded_targets == {}
     scatters = np.array([[20.0, 10.0, 1.0], [25.0, -8.0, 1.2], [10.0, 6.0, 2.0]])
     assert len(est.target_points) == 3
