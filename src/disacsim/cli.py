@@ -5,7 +5,9 @@
     disacsim e2e        run a single end-to-end trial
     disacsim montecarlo run a sweep and write results + CSV
 
-Exit status: 0 on success, 2 on a malformed configuration.
+Exit status: 0 on success, 2 on a malformed configuration, 1 when
+``estimate`` cannot recover paths from a well-formed tensor (an
+``estimation: <reason>`` line on stderr).
 """
 
 import argparse
@@ -101,7 +103,11 @@ def cmd_estimate(args) -> int:
         tensor = load_tensor(args.tensor)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read tensor {args.tensor}: {exc}") from exc
-    paths = estimate_paths(tensor, rank=rank, opts=opts, max_rank=max_rank)
+    try:
+        paths = estimate_paths(tensor, rank=rank, opts=opts, max_rank=max_rank)
+    except (ValueError, RuntimeError) as exc:  # RankDeficiencyError, a degenerate column, ...
+        print(f"estimation: {exc}", file=sys.stderr)
+        return 1
     doc = {"num_paths": len(paths), "paths": [_path_to_dict(p) for p in paths]}
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:

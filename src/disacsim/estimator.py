@@ -13,8 +13,9 @@ terms, one per propagation path. Estimation proceeds in three steps:
    eigenvalues, and takes its residual from the norm identity, or
    directly near an exact fit (see cpd_als);
 3. per-path parameter extraction from the factor columns: each spatial
-   column is matched against the beamspace signature of a phase ramp
-   (dense grid plus golden-section refinement), the two per-array ramps
+   column is matched against the beamspace signature of a phase ramp (a
+   dense grid, built once per axis and shared by that factor's columns,
+   then a golden-section refinement per column), the two per-array ramps
    are jointly inverted into angles, and the subcarrier column yields the
    delay through its shift invariance. Gains are re-fit by least squares
    against the rank-1 signatures of the extracted parameters.
@@ -49,7 +50,8 @@ NOISE_MARGIN = 1.4  # see select_model_order
 # singular values below this share of the largest are roundoff: the Gram
 # route of select_model_order resolves them only down to about sqrt(eps) ~ 1e-8
 REL_FLOOR = 1.0e-6
-ANGLE_GRID_POINTS = 2048  # coarse ramp scan of extract_angle
+# coarse ramp scan of extract_angle, built once per call and shared by the factor's columns
+ANGLE_GRID_POINTS = 2048
 
 
 class RankDeficiencyError(RuntimeError):
@@ -415,55 +417,69 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
 # ---------------------------------------------------------------------------
 
 
-def extract_angle(factor_column: np.ndarray, codebook: BeamCodebook) -> tuple[float, float]:
-    """Spatial frequency (radians per element) best explaining a factor column.
+def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial frequency (radians per element) best explaining each factor column.
 
-    Scans a dense grid of ramps exp(j*omega*n), scores the normalized
-    correlation |u^H s(omega)| / (||u|| ||s(omega)||) against the
-    column, then refines the winner by golden-section search to 1e-6 rad.
-    Returns (omega, correlation); the caller decides what correlation is
-    trustworthy.
+    ``factor`` is (beams, columns). The beamspace signatures s(omega) of a
+    dense grid of ramps exp(j*omega*n) are built once; each column u is
+    scored against them by the normalized correlation |u^H s(omega)| /
+    (||u|| ||s(omega)||), and its winner is refined by golden-section
+    search to 1e-6 rad. Returns (omegas, correlations), one entry per
+    column; the caller decides what correlation is trustworthy.
     """
-    u = np.asarray(factor_column, dtype=complex)
+    factor = np.asarray(factor, dtype=complex)
     if codebook.num_beams < 2:
         raise ValueError("cannot identify a spatial frequency from a single beam")
-    if u.shape != (codebook.num_beams,):
-        raise ValueError("factor column length must equal the beam count")
-    u_norm = np.linalg.norm(u)
-    if u_norm == 0.0:
-        raise ValueError("zero factor column")
+    if factor.ndim != 2 or factor.shape[0] != codebook.num_beams:
+        raise ValueError(
+            f"factor must be (beams, columns) with {codebook.num_beams} beams, "
+            f"got shape {factor.shape}"
+        )
+    columns = [factor[:, l] for l in range(factor.shape[1])]
+    u_norms = [np.linalg.norm(u) for u in columns]
+    for l, u_norm in enumerate(u_norms):
+        if u_norm == 0.0:
+            raise ValueError(f"factor column {l} is zero")
 
     n_el = codebook.num_elements
-    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
 
-    def corr(omegas):
-        sig = beam_response(codebook, phase_ramp(omegas, n_el))
-        sig = np.atleast_2d(sig)
+    def signature(omegas):
+        sig = np.atleast_2d(beam_response(codebook, phase_ramp(omegas, n_el)))
         norms = np.linalg.norm(sig, axis=1)
         norms[norms == 0.0] = np.inf
-        return np.abs(sig.conj() @ u) / (norms * u_norm)
+        return sig.conj(), norms
 
-    scores = corr(grid)
-    peak = int(np.argmax(scores))
+    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
     step = grid[1] - grid[0]
-    lo, hi = grid[peak] - step, grid[peak] + step
+    grid_sig = signature(grid)
+    omegas = np.empty(len(columns))
+    corrs = np.empty(len(columns))
+    for l, (u, u_norm) in enumerate(zip(columns, u_norms)):
 
-    # golden-section refinement (maximization) down to 1e-6 rad
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = corr(np.array([x1, x2]))
-    while b - a > 1.0e-6:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = float(corr(np.array([x2]))[0])
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = float(corr(np.array([x1]))[0])
-    omega = 0.5 * (a + b)
-    return float(omega), float(corr(np.array([omega]))[0])
+        def corr(sig_conj, norms):
+            return np.abs(sig_conj @ u) / (norms * u_norm)
+
+        def probe(*xs):
+            return corr(*signature(np.array(xs)))
+
+        peak = int(np.argmax(corr(*grid_sig)))
+        # golden-section refinement (maximization) down to 1e-6 rad
+        a, b = grid[peak] - step, grid[peak] + step
+        x1 = b - GOLDEN * (b - a)
+        x2 = a + GOLDEN * (b - a)
+        f1, f2 = probe(x1, x2)
+        while b - a > 1.0e-6:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + GOLDEN * (b - a)
+                f2 = float(probe(x2)[0])
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - GOLDEN * (b - a)
+                f1 = float(probe(x1)[0])
+        omegas[l] = 0.5 * (a + b)
+        corrs[l] = probe(omegas[l])[0]
+    return omegas, corrs
 
 
 def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float:
@@ -529,19 +545,20 @@ def estimate_paths(
         (books.tx_el, kd_tx),
         (books.tx_az, kd_tx),
     ]
+    # per axis, each path's direction cosine and correlation
+    cosines = []
+    corrs = []
+    for i, (cb, scale) in enumerate(axes):
+        om, c = extract_angle(cp.factors[i], cb)
+        cosines.append([float(x) / scale for x in om])
+        corrs.append(c)
     found = []
     for l in range(cp.rank):
-        omegas = []
-        corrs = []
-        for i, (cb, scale) in enumerate(axes):
-            om, c = extract_angle(cp.factors[i][:, l], cb)
-            omegas.append(om / scale)  # direction cosine
-            corrs.append(c)
-        aoa, aoa_ok = angles_from_cosines(omegas[1], omegas[0])
-        aod, aod_ok = angles_from_cosines(omegas[3], omegas[2])
+        aoa, aoa_ok = angles_from_cosines(cosines[1][l], cosines[0][l])
+        aod, aod_ok = angles_from_cosines(cosines[3][l], cosines[2][l])
         tau = extract_delay(cp.factors[4][:, l], tensor.ofdm.subcarrier_spacing)
         low_conf = (
-            min(corrs) < LOW_CONFIDENCE_CORR or not aoa_ok or not aod_ok
+            min(c[l] for c in corrs) < LOW_CONFIDENCE_CORR or not aoa_ok or not aod_ok
         )
         found.append(
             EstimatedPath(gain=0j, delay=tau, aoa=aoa, aod=aod, low_confidence=low_conf)

@@ -8,10 +8,11 @@ estimation chain) so agreement is meaningful.
 
 import numpy as np
 
-from disacsim.estimator import NOISE_MARGIN, REL_FLOOR, EstimatedPath
+from disacsim.estimator import ANGLE_GRID_POINTS, GOLDEN, NOISE_MARGIN, REL_FLOOR, EstimatedPath
 from disacsim.fusion import LosMeasurement, PathMeasurement
 from disacsim.geometry import BORESIGHT_ALONG_X, angles_from_direction
-from disacsim.waveform import expected_noise_energy
+from disacsim.scene import phase_ramp
+from disacsim.waveform import beam_response, expected_noise_energy
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,53 @@ def svd_model_order(tensor, max_rank):
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
         best = max(best, int(np.sum(sv > max(NOISE_MARGIN * edge, REL_FLOOR * sv[0]))))
     return min(best, max_rank)
+
+
+def reference_extract_angle(factor_column, codebook):
+    """One column's spatial frequency the per-column way: the ramp grid's
+    signature is rebuilt for the column, then scored and refined by
+    golden-section search. Returns (omega, correlation); ``extract_angle``
+    must agree exactly on every column of a factor."""
+    u = np.asarray(factor_column, dtype=complex)
+    if codebook.num_beams < 2:
+        raise ValueError("cannot identify a spatial frequency from a single beam")
+    if u.shape != (codebook.num_beams,):
+        raise ValueError("factor column length must equal the beam count")
+    u_norm = np.linalg.norm(u)
+    if u_norm == 0.0:
+        raise ValueError("zero factor column")
+
+    n_el = codebook.num_elements
+    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
+
+    def corr(omegas):
+        sig = beam_response(codebook, phase_ramp(omegas, n_el))
+        sig = np.atleast_2d(sig)
+        norms = np.linalg.norm(sig, axis=1)
+        norms[norms == 0.0] = np.inf
+        return np.abs(sig.conj() @ u) / (norms * u_norm)
+
+    scores = corr(grid)
+    peak = int(np.argmax(scores))
+    step = grid[1] - grid[0]
+    lo, hi = grid[peak] - step, grid[peak] + step
+
+    # golden-section refinement (maximization) down to 1e-6 rad
+    a, b = lo, hi
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = corr(np.array([x1, x2]))
+    while b - a > 1.0e-6:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = float(corr(np.array([x2]))[0])
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = float(corr(np.array([x1]))[0])
+    omega = 0.5 * (a + b)
+    return float(omega), float(corr(np.array([omega]))[0])
 
 
 def einsum_beamspace_noise(books, ofdm, noise_var, rng):

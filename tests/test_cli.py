@@ -231,6 +231,19 @@ def test_estimate_rejects_a_truncated_tensor(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: cannot read tensor")
 
 
+def test_estimate_reports_an_estimation_failure(tmp_path, capsys):
+    config = default_scenario()
+    scene = random_scene(config.scene, config.seed)
+    tensor = synthesize_tensor(scene, 0, config.books, config.ofdm, noise_seed=1)
+    tensor.data[...] = 0.0
+    prefix = str(tmp_path / "zero")
+    export_tensor(tensor, prefix)
+    assert main(["estimate", "--tensor", prefix, "--rank", "2", "--restarts", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "estimation: degenerate subcarrier column (no phase progression)\n"
+    assert captured.out == ""
+
+
 def test_estimate_defaults_to_the_stock_als_options(monkeypatch, capsys):
     seen = {}
 

@@ -31,7 +31,7 @@ from disacsim.waveform import (
     synthesize_tensor,
     tensor_from_paths,
 )
-from oracles import reference_als, svd_model_order, unfolding_gram
+from oracles import reference_als, reference_extract_angle, svd_model_order, unfolding_gram
 
 RX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
 TX_GEOM = UpaGeometry(8, 8, 0.01, 0.02)
@@ -401,7 +401,7 @@ def test_extract_angle_exact():
     book = dft_codebook(8, 8, "rx_az")
     om0 = 0.7  # off the beam grid on purpose
     col = beam_response(book, phase_ramp(om0, 8))
-    om, corr = extract_angle(col, book)
+    (om,), (corr,) = extract_angle(col[:, None], book)
     assert abs(om - om0) < 1e-6
     assert corr == pytest.approx(1.0, abs=1e-9)
 
@@ -414,15 +414,79 @@ def test_extract_angle_noisy_20db():
     rng = np.random.default_rng(8)
     for _ in range(100):
         noise = sigma / np.sqrt(2) * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        om, _ = extract_angle(resp + noise, book)
-        assert abs(om - om0) < 0.01
+        om, _ = extract_angle((resp + noise)[:, None], book)
+        assert abs(om[0] - om0) < 0.01
 
 
 def test_extract_angle_rejects_degenerate_input():
+    book = dft_codebook(8, 8, "rx_az")
     with pytest.raises(ValueError):
-        extract_angle(np.array([1.0 + 0j]), dft_codebook(1, 1, "rx_az"))
+        extract_angle(np.array([[1.0 + 0j]]), dft_codebook(1, 1, "rx_az"))
     with pytest.raises(ValueError):
-        extract_angle(np.zeros(8, dtype=complex), dft_codebook(8, 8, "rx_az"))
+        extract_angle(np.zeros((8, 1), dtype=complex), book)
+    with pytest.raises(ValueError, match="8 beams"):
+        extract_angle(np.ones((7, 2), dtype=complex), book)
+    with pytest.raises(ValueError, match="8 beams"):
+        extract_angle(np.ones(8, dtype=complex), book)
+    factor = np.random.default_rng(3).standard_normal((8, 4)) + 0j
+    factor[:, 2] = 0.0
+    with pytest.raises(ValueError, match="column 2 is zero"):
+        extract_angle(factor, book)
+
+
+def lattice_books():
+    """The lattice workload's codebooks: an 8x8 receive array, a 16x16
+    transmit array and a 4-beam elevation sector aimed at beam 11."""
+    return CodebookSet(
+        rx_el=dft_codebook(8, 8, "rx_el"),
+        rx_az=dft_codebook(8, 8, "rx_az"),
+        tx_el=dft_codebook(16, 4, "tx_el", first_beam=11),
+        tx_az=dft_codebook(16, 8, "tx_az"),
+        rx_geom=UpaGeometry(8, 8, 0.01, 0.02),
+        tx_geom=UpaGeometry(16, 16, 0.01, 0.02),
+    )
+
+
+def assert_matches_reference(factor, codebook):
+    omegas, corrs = extract_angle(factor, codebook)
+    assert len(omegas) == len(corrs) == factor.shape[1]
+    for l in range(factor.shape[1]):
+        assert (omegas[l], corrs[l]) == reference_extract_angle(factor[:, l], codebook)
+
+
+@pytest.mark.parametrize("books", [default_scenario().books, lattice_books()],
+                         ids=["stock", "lattice"])
+def test_extract_angle_matches_the_per_column_reference(books):
+    rng = np.random.default_rng(11)
+    for book in (books.rx_el, books.rx_az, books.tx_el, books.tx_az):
+        shape = (book.num_beams, 6)
+        assert_matches_reference(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), book)
+
+
+def test_extract_angle_matches_the_reference_on_als_factors():
+    config = default_scenario()
+    scene = random_scene(config.scene, config.seed)
+    tensor = config.receiver_tensor(scene, 0, config.seed)
+    seed = receiver_seed(config.seed, 0)
+    cp = cpd_als(tensor, select_model_order(tensor), AlsOptions(restarts=1, seed=seed))
+    books = config.books
+    for factor, book in zip(cp.factors, (books.rx_el, books.rx_az, books.tx_el, books.tx_az)):
+        assert_matches_reference(factor, book)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_estimate_paths_scans_one_angle_grid_per_axis(monkeypatch, rank):
+    grids = []
+
+    def counting_ramp(omega, num_elements):
+        if np.size(omega) == estimator.ANGLE_GRID_POINTS:
+            grids.append(num_elements)
+        return phase_ramp(omega, num_elements)
+
+    monkeypatch.setattr(estimator, "phase_ramp", counting_ramp)
+    tensor, _ = planted_tensor(rank, [1.0] * rank)
+    assert len(estimate_paths(tensor, rank=rank, opts=AlsOptions(restarts=1))) == rank
+    assert len(grids) == 4
 
 
 def test_extract_delay_zero_and_exact():
@@ -530,14 +594,11 @@ def test_estimate_paths_flags_non_steering_factor():
     )
     ofdm = OfdmConfig(num_subcarriers=32)
     rng = np.random.default_rng(2)
-    bad = None
-    for _ in range(400):
-        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        _, corr = extract_angle(v, books.rx_el)
-        if corr < 0.4:
-            bad = v
-            break
-    assert bad is not None
+    draws = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(400)]
+    _, corrs = extract_angle(np.stack(draws, axis=1), books.rx_el)
+    low = np.flatnonzero(corrs < 0.4)
+    assert low.size
+    bad = draws[low[0]]
 
     aoa, _ = angles_from_cosines(0.3, 0.0)
     aod, _ = angles_from_cosines(-0.25, 0.25)
