@@ -14,13 +14,15 @@ terms, one per propagation path. Estimation proceeds in three steps:
    directly near an exact fit (see cpd_als);
 3. per-path parameter extraction from the factor columns: each spatial
    column is matched against the beamspace signature of a phase ramp (a
-   dense grid, built once per axis and shared by that factor's columns,
-   then a golden-section refinement per column), the two per-array ramps
-   are jointly inverted into angles, and the subcarrier column yields the
+   dense grid scan, whose ramps are built once per element count, then a
+   golden-section refinement; all columns of a factor go through both
+   together, one stacked product per step), the two per-array ramps are
+   jointly inverted into angles, and the subcarrier column yields the
    delay through its shift invariance. Gains are re-fit by least squares
    against the rank-1 signatures of the extracted parameters.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -50,7 +52,8 @@ NOISE_MARGIN = 1.4  # see select_model_order
 # singular values below this share of the largest are roundoff: the Gram
 # route of select_model_order resolves them only down to about sqrt(eps) ~ 1e-8
 REL_FLOOR = 1.0e-6
-# coarse ramp scan of extract_angle, built once per call and shared by the factor's columns
+# coarse ramp scan of extract_angle; its ramps are memoised per element count
+# (_grid_ramp) and each call scores all of a factor's columns against them at once
 ANGLE_GRID_POINTS = 2048
 
 
@@ -153,14 +156,14 @@ def _update_mode(factors, grams, mode: int, v: np.ndarray, restarts: np.ndarray)
     restart of each stack entry. Returns the (K, L, L) Gram products.
     """
     rank = v.shape[-1]
-    g = np.ones((len(v), rank, rank), dtype=complex)
-    for m in range(len(factors)):
-        if m != mode:
-            g *= grams[m]
+    others = [grams[m] for m in range(len(factors)) if m != mode]
+    g = others[0].copy()
+    for gram in others[1:]:
+        g *= gram
     # g is Hermitian, so its 2-norm condition is lambda_max / lambda_min; a
     # non-finite g is zeroed so that it reads as singular
     finite = np.isfinite(g).all(axis=(-2, -1))
-    lam = np.linalg.eigvalsh(np.where(finite[:, None, None], g, 0.0))
+    lam = np.linalg.eigvalsh(g if finite.all() else np.where(finite[:, None, None], g, 0.0))
     lo, hi = lam[:, 0], lam[:, -1]
     g_cond = np.divide(hi, lo, out=np.full_like(lo, np.inf), where=lo > 0.0)
     bad = g_cond > COND_LIMIT
@@ -270,11 +273,12 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     grams = [f.swapaxes(-1, -2).conj() @ f for f in factors]
     running = np.arange(opts.restarts)
     histories: list[list[float]] = [[] for _ in running]
-    done: dict[int, CpFactors] = {}
+    # each finished restart's raw factors and whether it converged; only the
+    # winner is finalized
+    done: dict[int, tuple[list[np.ndarray], bool]] = {}
 
     def record(k: int, converged: bool):
-        r = int(running[k])
-        done[r] = _finalize([f[k] for f in factors], histories[r], converged)
+        done[int(running[k])] = ([f[k] for f in factors], converged)
 
     for sweep in range(opts.max_sweeps):
         n_run = len(running)
@@ -331,7 +335,9 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     for k in range(running.size):
         record(k, converged=False)
     # min keeps the first of equal residuals: ties go to the lowest restart
-    return min((done[r] for r in range(opts.restarts)), key=lambda cp: cp.residual)
+    best = min(range(opts.restarts), key=lambda r: histories[r][-1])
+    raw, converged = done[best]
+    return _finalize(raw, histories[best], converged)
 
 
 def _finalize(factors: list[np.ndarray], history: list[float], converged: bool) -> CpFactors:
@@ -417,15 +423,30 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_ramp(num_elements: int) -> np.ndarray:
+    """Read-only ramps of the ANGLE_GRID_POINTS-point scan, one per element count."""
+    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
+    ramp = phase_ramp(grid, num_elements)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarray, np.ndarray]:
     """Spatial frequency (radians per element) best explaining each factor column.
 
-    ``factor`` is (beams, columns). The beamspace signatures s(omega) of a
-    dense grid of ramps exp(j*omega*n) are built once; each column u is
-    scored against them by the normalized correlation |u^H s(omega)| /
-    (||u|| ||s(omega)||), and its winner is refined by golden-section
-    search to 1e-6 rad. Returns (omegas, correlations), one entry per
-    column; the caller decides what correlation is trustworthy.
+    ``factor`` is (beams, columns). Each column u is scored against the
+    beamspace signatures s(omega) of a dense grid of ramps exp(j*omega*n)
+    by the normalized correlation |u^H s(omega)| / (||u|| ||s(omega)||),
+    and its winner is refined by golden-section search to 1e-6 rad.
+    Returns (omegas, correlations), one entry per column; the caller
+    decides what correlation is trustworthy.
+
+    All columns go through every step together: the grid scan is one
+    stacked product, and each golden-section step probes one omega per
+    column in one signature build. The columns are stacked as views with
+    their own stride, so each product rounds exactly as the column's own
+    product would.
     """
     factor = np.asarray(factor, dtype=complex)
     if codebook.num_beams < 2:
@@ -435,51 +456,50 @@ def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarra
             f"factor must be (beams, columns) with {codebook.num_beams} beams, "
             f"got shape {factor.shape}"
         )
-    columns = [factor[:, l] for l in range(factor.shape[1])]
-    u_norms = [np.linalg.norm(u) for u in columns]
-    for l, u_norm in enumerate(u_norms):
-        if u_norm == 0.0:
-            raise ValueError(f"factor column {l} is zero")
+    # the 1-D norm of each column: an axis norm differs in the last bit
+    u_norms = np.array([np.linalg.norm(factor[:, l]) for l in range(factor.shape[1])])
+    zero = np.flatnonzero(u_norms == 0.0)
+    if zero.size:
+        raise ValueError(f"factor column {zero[0]} is zero")
+    u = factor.T[:, :, None]  # (columns, beams, 1), no copy
 
-    n_el = codebook.num_elements
-
-    def signature(omegas):
-        sig = np.atleast_2d(beam_response(codebook, phase_ramp(omegas, n_el)))
-        norms = np.linalg.norm(sig, axis=1)
+    def corr(sig):
+        """(columns, k) correlations of each column with its own k signatures."""
+        norms = np.linalg.norm(sig, axis=-1)
         norms[norms == 0.0] = np.inf
-        return sig.conj(), norms
+        return np.abs(np.matmul(sig.conj(), u)[..., 0]) / (norms * u_norms[:, None])
+
+    def probe(omegas):
+        return corr(beam_response(codebook, phase_ramp(omegas, codebook.num_elements)))
 
     grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
     step = grid[1] - grid[0]
-    grid_sig = signature(grid)
-    omegas = np.empty(len(columns))
-    corrs = np.empty(len(columns))
-    for l, (u, u_norm) in enumerate(zip(columns, u_norms)):
-
-        def corr(sig_conj, norms):
-            return np.abs(sig_conj @ u) / (norms * u_norm)
-
-        def probe(*xs):
-            return corr(*signature(np.array(xs)))
-
-        peak = int(np.argmax(corr(*grid_sig)))
-        # golden-section refinement (maximization) down to 1e-6 rad
-        a, b = grid[peak] - step, grid[peak] + step
-        x1 = b - GOLDEN * (b - a)
-        x2 = a + GOLDEN * (b - a)
-        f1, f2 = probe(x1, x2)
-        while b - a > 1.0e-6:
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + GOLDEN * (b - a)
-                f2 = float(probe(x2)[0])
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - GOLDEN * (b - a)
-                f1 = float(probe(x1)[0])
-        omegas[l] = 0.5 * (a + b)
-        corrs[l] = probe(omegas[l])[0]
-    return omegas, corrs
+    grid_sig = beam_response(codebook, _grid_ramp(codebook.num_elements))
+    peak = np.argmax(corr(grid_sig[None]), axis=1)
+    # golden-section refinement (maximization) down to 1e-6 rad, all columns at once
+    a, b = grid[peak] - step, grid[peak] + step
+    d = GOLDEN * (b - a)
+    x1, x2 = b - d, a + d
+    f1, f2 = probe(np.stack([x1, x2], axis=1)).T
+    live = b - a > 1.0e-6
+    while live.any():
+        old = (a, b, x1, x2, f1, f2)
+        right = f1 < f2  # the maximum lies in [x1, b]
+        a = np.where(right, x1, a)
+        b = np.where(right, b, x2)
+        d = GOLDEN * (b - a)
+        x = np.where(right, a + d, b - d)
+        f = probe(x[:, None])[:, 0]
+        x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
+        f1, f2 = np.where(right, f2, f), np.where(right, f, f1)
+        if not live.all():
+            # a finished column keeps its bracket
+            a, b, x1, x2, f1, f2 = (
+                np.where(live, new, kept) for new, kept in zip((a, b, x1, x2, f1, f2), old)
+            )
+        live = b - a > 1.0e-6
+    omegas = 0.5 * (a + b)
+    return omegas, probe(omegas[:, None])[:, 0]
 
 
 def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float:
@@ -496,7 +516,9 @@ def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float
         raise ValueError("degenerate subcarrier column (no phase progression)")
     tau = -np.angle(accum) / (2.0 * np.pi * subcarrier_spacing)
     period = 1.0 / subcarrier_spacing
-    return float(tau % period)
+    # a tiny negative tau rounds up to the period itself, which is delay 0
+    tau = float(tau % period)
+    return 0.0 if tau == period else tau
 
 
 @dataclass(frozen=True)

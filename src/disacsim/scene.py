@@ -249,11 +249,13 @@ def steering_vector(angles: AnglePair, geom: UpaGeometry) -> np.ndarray:
 
 
 def phase_ramp(omega: float | np.ndarray, num_elements: int) -> np.ndarray:
-    """Element-axis ramp exp(j * omega * n); omega may be a grid."""
-    scalar = np.ndim(omega) == 0
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    ramp = np.exp(1j * om[:, None] * np.arange(num_elements)[None, :])
-    return ramp[0] if scalar else ramp
+    """Element-axis ramp exp(j * omega * n); omega may have any shape.
+
+    The element axis is appended: a scalar gives (num_elements,), an omega
+    of shape S gives S + (num_elements,).
+    """
+    om = np.asarray(omega, dtype=float)
+    return np.exp(1j * om[..., None] * np.arange(num_elements))
 
 
 def axis_responses(angles: AnglePair, geom: UpaGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -191,8 +191,8 @@ def beam_response(codebook: BeamCodebook, ramp: np.ndarray) -> np.ndarray:
 
     Receive axes apply the combiner adjoint W^H a. Transmit axes see the
     steering vector conjugated (the channel couples a_T^H into the
-    precoder), giving conj(F^H a). ``ramp`` may be a single vector or a
-    (grid, elements) stack.
+    precoder), giving conj(F^H a). ``ramp`` is (..., elements): any leading
+    axes are kept, and the beam axis replaces the element axis.
     """
     resp = np.asarray(ramp) @ codebook.matrix.conj()
     if codebook.axis.startswith("tx"):

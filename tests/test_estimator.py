@@ -474,19 +474,75 @@ def test_extract_angle_matches_the_reference_on_als_factors():
         assert_matches_reference(factor, book)
 
 
-@pytest.mark.parametrize("rank", [2, 4])
-def test_estimate_paths_scans_one_angle_grid_per_axis(monkeypatch, rank):
-    grids = []
+def test_extract_angle_matches_the_reference_on_any_column_layout():
+    book = lattice_books().tx_az
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((book.num_beams, 10)) + 1j * rng.standard_normal((book.num_beams, 10))
+    assert_matches_reference(np.asfortranarray(wide), book)
+    assert_matches_reference(wide[:, ::2], book)
+    assert_matches_reference(wide[:, 3:4], book)
 
-    def counting_ramp(omega, num_elements):
-        if np.size(omega) == estimator.ANGLE_GRID_POINTS:
-            grids.append(num_elements)
+
+def test_extract_angle_matches_the_reference_on_lattice_als_factors():
+    books = lattice_books()
+    ofdm = OfdmConfig(num_subcarriers=32)
+    sig = tensor_from_paths(make_paths(4), books, ofdm, gains=np.array([1.2, 0.9, 1.1, 0.8]))
+    var = float(np.vdot(sig, sig).real) / (expected_noise_energy(books, ofdm, 1.0) * 1.0e3)
+    noise = beamspace_noise(books, ofdm, var, np.random.Generator(np.random.Philox(key=[3, 1])))
+    tensor = MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var)
+    cp = cpd_als(tensor, 4, AlsOptions(restarts=5, seed=1))
+    for factor, book in zip(cp.factors, (books.rx_el, books.rx_az, books.tx_el, books.tx_az)):
+        assert_matches_reference(factor, book)
+
+
+def test_extract_angle_of_no_columns_is_empty():
+    omegas, corrs = extract_angle(np.zeros((8, 0), dtype=complex), dft_codebook(8, 8, "rx_az"))
+    assert omegas.shape == corrs.shape == (0,)
+
+
+def record_ramps(monkeypatch):
+    """Record (omega shape, element count) of every phase_ramp call the
+    estimator makes."""
+    calls = []
+
+    def recording_ramp(omega, num_elements):
+        calls.append((np.shape(omega), num_elements))
         return phase_ramp(omega, num_elements)
 
-    monkeypatch.setattr(estimator, "phase_ramp", counting_ramp)
+    monkeypatch.setattr(estimator, "phase_ramp", recording_ramp)
+    return calls
+
+
+def test_extract_angle_probes_all_columns_at_once(monkeypatch):
+    book = lattice_books().tx_az
+    rng = np.random.default_rng(9)
+    factor = rng.standard_normal((book.num_beams, 6)) + 1j * rng.standard_normal((book.num_beams, 6))
+    calls = record_ramps(monkeypatch)
+
+    def probes(columns):
+        calls.clear()
+        extract_angle(factor[:, :columns], book)
+        return [shape for shape, _ in calls if shape != (estimator.ANGLE_GRID_POINTS,)]
+
+    # the (x1, x2) pair, 19 golden-section steps from the +-1 grid step
+    # bracket and the final correlation
+    assert len(probes(1)) == 21
+    stacked = probes(6)
+    assert len(stacked) == 21
+    assert stacked[0] == (6, 2) and set(stacked[1:]) == {(6, 1)}
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_estimate_paths_scans_one_angle_grid_per_axis(monkeypatch, rank):
+    calls = record_ramps(monkeypatch)
+    estimator._grid_ramp.cache_clear()
     tensor, _ = planted_tensor(rank, [1.0] * rank)
-    assert len(estimate_paths(tensor, rank=rank, opts=AlsOptions(restarts=1))) == rank
-    assert len(grids) == 4
+    for _ in range(2):
+        assert len(estimate_paths(tensor, rank=rank, opts=AlsOptions(restarts=1))) == rank
+    # the grid ramps are built once per element count (4 on the receive
+    # axes, 8 on the transmit axes); the second call builds none
+    grids = [n for shape, n in calls if shape == (estimator.ANGLE_GRID_POINTS,)]
+    assert sorted(grids) == [4, 8]
 
 
 def test_extract_delay_zero_and_exact():
@@ -509,6 +565,14 @@ def test_extract_delay_noisy_30db():
         noisy = col + sigma / np.sqrt(2) * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
         tau = extract_delay(noisy, spacing)
         assert abs(tau - tau0) < 1e-9
+
+
+def test_extract_delay_stays_below_the_period():
+    # tau = -1e-18 / (2 pi spacing) is negative, and tau % period rounds to the period
+    spacing = 1.5625e6
+    tau = extract_delay(np.exp(1e-18j * np.arange(64)), spacing)
+    assert 0.0 <= tau < 1.0 / spacing
+    assert tau == 0.0
 
 
 def test_extract_delay_degenerate_column():

@@ -29,6 +29,7 @@ from disacsim.scene import (
     UpaGeometry,
     axis_responses,
     generate_ground_truth_paths,
+    phase_ramp,
     random_scene,
     steering_vector,
 )
@@ -105,6 +106,16 @@ def test_axis_ramp_rate():
     ax, _ = axis_responses(ang, geom)
     step = geom.phase_scale * 0.5
     np.testing.assert_allclose(np.angle(ax), np.arange(4) * step, atol=1e-12)
+
+
+def test_phase_ramp_on_an_omega_array_equals_its_1d_calls():
+    omegas = np.array([[-2.5, 0.0, 0.7], [1.3, -0.4, 3.1]])
+    ramps = phase_ramp(omegas, 5)
+    assert ramps.shape == (2, 3, 5)
+    for i in range(2):
+        assert np.array_equal(ramps[i], phase_ramp(omegas[i], 5))
+        for j in range(3):
+            assert np.array_equal(ramps[i, j], phase_ramp(float(omegas[i, j]), 5))
 
 
 def test_upa_validation_and_phase_scale():
