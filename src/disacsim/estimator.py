@@ -11,7 +11,8 @@ terms, one per propagation path. Estimation proceeds in three steps:
    sweep takes the MTTKRPs of all restarts from a dimension tree (two
    GEMMs over the tensor), checks each Gram's condition from its
    eigenvalues, and takes its residual from the norm identity, or
-   directly near an exact fit (see cpd_als);
+   directly near an exact fit; the first restart to converge at the
+   tensor's expected noise residual ends the decomposition (see cpd_als);
 3. per-path parameter extraction from the factor columns: each spatial
    column is matched against the beamspace signature of a phase ramp (a
    dense grid scan, whose ramps are built once per element count, then a
@@ -55,6 +56,9 @@ REL_FLOOR = 1.0e-6
 # coarse ramp scan of extract_angle; its ramps are memoised per element count
 # (_grid_ramp) and each call scores all of a factor's columns against them at once
 ANGLE_GRID_POINTS = 2048
+# a restart of cpd_als that converges within this factor of the tensor's
+# expected noise residual ends the call: the other restarts could only tie it
+FLOOR_MARGIN = 1.01
 
 
 class RankDeficiencyError(RuntimeError):
@@ -67,7 +71,13 @@ class AlsMonotonicityError(RuntimeError):
 
 @dataclass
 class AlsOptions:
-    """ALS stopping rule and restarts; these are the stock values everywhere."""
+    """ALS stopping rule and restarts.
+
+    The defaults are the stock values of the scenario's estimation section
+    and of ``disacsim estimate``; acceptance criterion 2 and the lattice
+    benchmark run 5 restarts. cpd_als also stops at the noise floor, which
+    it reads from the tensor, not from these options.
+    """
 
     max_sweeps: int = 300
     rel_tol: float = 1.0e-8
@@ -189,8 +199,7 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
 
     Alternating least squares from random complex Gaussian starts. Each
     restart r draws its start from a Philox generator keyed
-    ``[seed + r, 2]``; the restart with the smallest final residual wins,
-    ties going to the lowest r. These streams are not independent across
+    ``[seed + r, 2]``. These streams are not independent across
     calls whose seeds lie closer than the restart count: in a trial,
     harness.receiver_seed gives neighbouring receivers seeds one apart, so
     receiver 0's restart 1 starts where receiver 1's restart 0 does, and
@@ -203,6 +212,21 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     every Gram as (K, L, L) over the K restarts still running. A restart
     that meets its stopping rule is recorded and leaves the stack; the
     others go on.
+
+    The winner is chosen in one of two ways:
+
+    - Noise floor (a MeasurementTensor with noise_var > 0 only). The floor
+      is sqrt(expected_noise_energy), about the residual the true model
+      itself leaves. A restart that stops on rel_tol or on the exact-fit
+      test with residual <= FLOOR_MARGIN * floor wins at once, and the
+      restarts still running are dropped. Every restart that converges there reaches the
+      same fit, so more sweeps could only let roundoff choose among equal
+      fits; this is the stop of Morozov's discrepancy principle. If several
+      restarts qualify in the same sweep, the lowest r wins.
+    - Otherwise (a raw array, noise_var == 0, or no restart converged at the
+      floor, for instance because each ended at max_sweeps) every restart
+      runs to its own stop and the smallest final residual wins, ties going
+      to the lowest r.
 
     Each sweep updates the modes a, b, c, d, e (rx_el, rx_az, tx_el, tx_az,
     subcarrier) in turn from their MTTKRPs (tensor times the Khatri-Rao
@@ -271,6 +295,13 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
         for n in data.shape
     ]
     grams = [f.swapaxes(-1, -2).conj() @ f for f in factors]
+    # residual at or below which a converged restart wins at once; only a
+    # tensor that carries a positive noise level has one
+    floor = -np.inf
+    if isinstance(tensor, MeasurementTensor) and tensor.noise_var > 0.0:
+        energy = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var)
+        floor = FLOOR_MARGIN * float(np.sqrt(energy))
+    best = None
     running = np.arange(opts.restarts)
     histories: list[list[float]] = [[] for _ in running]
     # each finished restart's raw factors and whether it converged; only the
@@ -326,16 +357,21 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
             if prev - res <= opts.rel_tol * norm_t or res <= 1.0e-13 * norm_t:
                 record(k, converged=True)
                 keep[k] = False
+                if best is None and res <= floor:
+                    best = int(r)  # running is ascending: the lowest restart wins
+        if best is not None:
+            break
         if not keep.all():
             running = running[keep]
             factors = [f[keep] for f in factors]
             grams = [g[keep] for g in grams]
             if not running.size:
                 break
-    for k in range(running.size):
-        record(k, converged=False)
-    # min keeps the first of equal residuals: ties go to the lowest restart
-    best = min(range(opts.restarts), key=lambda r: histories[r][-1])
+    if best is None:
+        for k in range(running.size):
+            record(k, converged=False)
+        # min keeps the first of equal residuals: ties go to the lowest restart
+        best = min(range(opts.restarts), key=lambda r: histories[r][-1])
     raw, converged = done[best]
     return _finalize(raw, histories[best], converged)
 

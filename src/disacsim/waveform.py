@@ -271,8 +271,10 @@ class MeasurementTensor:
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("tensor data contains NaN or inf")
-        if not self.noise_var >= 0.0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0.0 <= self.noise_var < np.inf:  # NaN fails too
+            raise ValueError(
+                f"noise variance noise_var must be finite and nonnegative, got {self.noise_var!r}"
+            )
 
 
 def rank_one_sum(gains: np.ndarray, stacked: list[np.ndarray]) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,101 @@ def test_stacked_restarts_are_the_best_single_restart(seed, restarts):
     for got, want in zip(cp.factors, single.factors):
         assert np.max(np.abs(got - want)) <= 1e-9
     assert np.max(np.abs(cp.gains - single.gains)) <= 1e-9 * norm
+
+
+def noise_floor(tensor):
+    return np.sqrt(expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var))
+
+
+def count_sweeps(monkeypatch):
+    """Stacked sweeps of the next cpd_als calls: one mode-e update each."""
+    sweeps = []
+    update = estimator._update_mode
+
+    def counted(factors, grams, mode, v, restarts):
+        if mode == 4:
+            sweeps.append(len(restarts))
+        return update(factors, grams, mode, v, restarts)
+
+    monkeypatch.setattr(estimator, "_update_mode", counted)
+    return sweeps
+
+
+def test_a_restart_converged_at_the_noise_floor_ends_the_call(monkeypatch):
+    # restarts 3 and 5 both converge at the floor after 4 sweeps and the
+    # lowest wins; without the rule the stack runs to restart 4's 47th sweep
+    noisy = noisy_rank_three()
+    sweeps = count_sweeps(monkeypatch)
+    cp = cpd_als(noisy, 3, AlsOptions(restarts=8, seed=0))
+    assert len(sweeps) == 4 and cp.sweeps == 4 and cp.converged
+    assert cp.residual <= estimator.FLOOR_MARGIN * noise_floor(noisy)
+    solo = cpd_als(noisy, 3, AlsOptions(restarts=1, seed=3))
+    np.testing.assert_allclose(cp.residual_history, solo.residual_history, rtol=1e-9, atol=0.0)
+    for got, want in zip(cp.factors, solo.factors):
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "rank, noise_var, max_sweeps, sweeps",
+    [(2, None, 300, 5), (3, 0.0, 300, 47), (3, None, 3, 3)],
+    ids=["underfit", "noiseless_metadata", "sweep_cap"],
+)
+def test_without_a_converged_restart_at_the_floor_the_smallest_residual_wins(
+        monkeypatch, rank, noise_var, max_sweeps, sweeps):
+    # an underfit stays above the floor; the other two reach it, but a
+    # tensor that claims no noise has no floor and a restart stopped by the
+    # sweep cap has not converged. Each result is the raw array's, the
+    # smallest residual over every restart
+    noisy = noisy_rank_three()
+    floor = estimator.FLOOR_MARGIN * noise_floor(noisy)
+    if noise_var is not None:
+        noisy = replace(noisy, noise_var=noise_var)
+    opts = AlsOptions(max_sweeps=max_sweeps, restarts=8, seed=0)
+    counted = count_sweeps(monkeypatch)
+    cp = cpd_als(noisy, rank, opts)
+    assert len(counted) == sweeps
+    assert (cp.residual <= floor) == (rank == 3)
+    raw = cpd_als(noisy.data, rank, opts)
+    assert cp.residual_history == raw.residual_history
+    assert all(np.array_equal(got, want) for got, want in zip(cp.factors, raw.factors))
+    assert np.array_equal(cp.gains, raw.gains)
+
+
+def lattice_tensor(key):
+    """The lattice workload's tensor ``key``: acceptance criterion 2's four
+    paths, jittered about a lattice of direction cosines and delays, at 30 dB."""
+    books = lattice_books()
+    ofdm = OfdmConfig()
+    rng = np.random.default_rng([*key, 11])
+    cosines = [
+        rng.permutation(np.array(lattice)) + rng.uniform(-0.02, 0.02, 4)
+        for lattice in ([-0.6, -0.2, 0.2, 0.6], [-0.6, -0.2, 0.2, 0.6],
+                        [-0.25, 0.0, 0.25, 0.5], [0.25, 0.375, 0.5, 0.625])
+    ]
+    taus = rng.permutation(np.array([60e-9, 160e-9, 260e-9, 360e-9])) + rng.uniform(-10e-9, 10e-9, 4)
+    gains = rng.uniform(0.7, 1.5, 4) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 4))
+    paths = [
+        PathRecord(gain=1.0, delay=tau, aoa=angles_from_cosines(ux_rx, uy_rx)[0],
+                   aod=angles_from_cosines(ux_tx, uy_tx)[0], label=LABEL_LOS)
+        for ux_rx, uy_rx, ux_tx, uy_tx, tau in zip(*cosines, taus)
+    ]
+    sig = tensor_from_paths(paths, books, ofdm, gains=gains)
+    var = float(np.vdot(sig, sig).real) / (expected_noise_energy(books, ofdm, 1.0) * 1.0e3)
+    noise = beamspace_noise(books, ofdm, var, np.random.default_rng([*key, 1]))
+    return MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var)
+
+
+def test_the_noise_floor_fit_is_the_best_single_restart_on_a_lattice_tensor():
+    # seed 1's item 1 stops after 4 stacked sweeps on restart 3; restarts 0,
+    # 1 and 4 end in swamps, and restart 2 holds the smallest residual
+    tensor = lattice_tensor((1, 1))
+    norm = np.linalg.norm(tensor.data)
+    cp = cpd_als(tensor, 4, AlsOptions(restarts=5, seed=1001))
+    singles = [cpd_als(tensor, 4, AlsOptions(restarts=1, seed=1001 + r)) for r in range(5)]
+    assert cp.sweeps == 4 and cp.residual_history == singles[3].residual_history
+    best = min(singles, key=lambda s: s.residual)
+    assert cp.residual == pytest.approx(best.residual, rel=1e-9)
+    assert np.linalg.norm(reconstruct(cp) - reconstruct(best)) <= 1e-9 * norm
 
 
 def test_cpd_norm_identity_residual_is_the_direct_residual():

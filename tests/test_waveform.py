@@ -279,6 +279,12 @@ def test_measurement_tensor_shape_validation():
             data=np.zeros(shape, dtype=complex), codebooks=books, ofdm=ofdm,
             noise_var=float("nan"),
         )
+    # an infinite noise level would zero the model order and the noise floor
+    with pytest.raises(ValueError, match="noise_var must be finite"):
+        MeasurementTensor(
+            data=np.zeros(shape, dtype=complex), codebooks=books, ofdm=ofdm,
+            noise_var=float("inf"),
+        )
 
 
 def test_measurement_tensor_stores_c_order():
