@@ -182,7 +182,15 @@ class PathRecord:
 
 @dataclass
 class Scene:
-    """Full ground-truth description of one deployment."""
+    """Full ground-truth description of one deployment.
+
+    Receivers sit above ground (z > 0) and have unique ids. The
+    transmitter, the receivers, the target centroids and the clutter
+    points must be distinct: a later position b counts as the same as an
+    earlier a when every axis has |a - b| <= 1e-9 m + 1e-5 * |b|, the rule
+    of ``np.allclose(a, b, atol=1e-9)``; at 50 m from the origin that is
+    about 0.5 mm.
+    """
 
     tx: TransmitterNode
     receivers: list[ReceiverNode]
@@ -203,10 +211,15 @@ class Scene:
         positions = [self.tx.position] + [rx.position for rx in self.receivers]
         positions += [t.centroid() for t in self.targets]
         positions += [c.position for c in self.clutter]
-        for i in range(len(positions)):
-            for j in range(i + 1, len(positions)):
-                if np.allclose(positions[i], positions[j], atol=1e-9):
-                    raise ValueError("node/target positions must be distinct")
+        # np.allclose(a, b, atol=1e-9) for every a listed before b, in one
+        # comparison with its elementwise rule (a == b only matters for the
+        # infinite centroid of a target with an infinite point)
+        a = np.array(positions)[:, None, :]
+        b = a.transpose(1, 0, 2)
+        with np.errstate(invalid="ignore"):
+            same = (np.abs(a - b) <= 1e-9 + 1e-5 * np.abs(b)) & np.isfinite(b) | (a == b)
+        if np.triu(same.all(axis=2), k=1).any():
+            raise ValueError("node/target positions must be distinct")
 
     def receiver(self, rx_id: int) -> ReceiverNode:
         for rx in self.receivers:
@@ -269,6 +282,37 @@ def _local_angles(direction_global, orientation) -> AnglePair:
     return angles_from_direction(orientation.T @ as_vec3(direction_global))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Length of each row of a (k, 3) array, bit for bit ``np.linalg.norm(row)``.
+
+    Each stacked (1, 3) @ (3, 1) product is the same BLAS dot that
+    ``np.linalg.norm`` takes of one vector; ``np.linalg.norm(v, axis=1)``
+    sums in another order and differs from it in the last bit on about
+    one row in ten.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _row_angles(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(azimuth, elevation) arrays of the rows of a (k, 3) array of local
+    directions, each bit for bit :func:`angles_from_direction` of its row.
+
+    Returns None when a row is not finite or is zero, which
+    ``angles_from_direction`` refuses; the caller then runs the
+    per-vector test so that it raises its own error.
+    """
+    if not np.isfinite(u).all():
+        return None
+    n = _row_norms(u)
+    if not n.all():
+        return None
+    u = u / n[:, None]
+    el = np.arcsin(np.clip(u[:, 1], -1.0, 1.0))
+    az = np.arctan2(u[:, 0], u[:, 2])
+    az[az <= -np.pi] = np.pi
+    return az, el
+
+
 def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     """Exact multipath parameters for one receiver.
 
@@ -284,6 +328,13 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     diagonal (ROADMAP item 2 gives each index its own key word, which
     moves every canonical digest).
 
+    The bounced paths are computed together, as arrays over all scatter
+    points, and equal a point-by-point computation bit for bit (one phase
+    draw per path, in path order, from the same stream). A scatter point
+    that is not finite, or sits on the receiver or the transmitter, raises
+    the ValueError of :func:`angles_from_direction` for the first such
+    point.
+
     Returns
     -------
     list[PathRecord]
@@ -291,55 +342,63 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
         clutter paths.
     """
     rx = scene.receiver(rx_id)
+    tx = scene.tx.position
     lam = scene.tx.array.wavelength
     rng = np.random.Generator(
         np.random.Philox(key=[scene.phase_seed + rx_id, _STREAM_PATH_PHASE])
     )
 
-    paths: list[PathRecord] = []
-
     # Direct path. AoD points at the receiver, AoA back at the transmitter.
-    d_los = np.linalg.norm(rx.position - scene.tx.position)
+    d_los = np.linalg.norm(rx.position - tx)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    paths.append(
+    paths = [
         PathRecord(
             gain=complex(lam / (4.0 * np.pi * d_los) * np.exp(1j * phase)),
             delay=d_los / scene.speed_of_light + rx.timing_offset,
-            aoa=_local_angles(scene.tx.position - rx.position, rx.orientation),
-            aod=_local_angles(rx.position - scene.tx.position, BORESIGHT_ALONG_X),
+            aoa=_local_angles(tx - rx.position, rx.orientation),
+            aod=_local_angles(rx.position - tx, BORESIGHT_ALONG_X),
             label=LABEL_LOS,
         )
+    ]
+
+    # Bounced paths, one row per scatter point.
+    points = np.concatenate(
+        [t.scatter_points for t in scene.targets]
+        + [np.reshape([c.position for c in scene.clutter], (-1, 3))]
     )
+    reflectivity = np.concatenate(
+        [t.reflectivities for t in scene.targets] + [[c.reflectivity for c in scene.clutter]]
+    )
+    tags = [(LABEL_TARGET, t.target_id, i) for t in scene.targets
+            for i in range(len(t.scatter_points))]
+    tags += [(LABEL_CLUTTER, None, None)] * len(scene.clutter)
 
-    def bounce(point, reflectivity, label, target_id=None, point_index=None):
-        point = as_vec3(point)
-        r = np.linalg.norm(point - scene.tx.position)
-        d = np.linalg.norm(rx.position - point)
-        amp = reflectivity * lam / (4.0 * np.pi * (r + d))
-        ph = rng.uniform(0.0, 2.0 * np.pi)
-        return PathRecord(
-            gain=complex(amp * np.exp(1j * ph)),
-            delay=(r + d) / scene.speed_of_light + rx.timing_offset,
-            aoa=_local_angles(point - rx.position, rx.orientation),
-            aod=_local_angles(point - scene.tx.position, BORESIGHT_ALONG_X),
-            label=label,
-            target_id=target_id,
-            point_index=point_index,
-        )
-
-    for tgt in scene.targets:
-        for p_idx in range(len(tgt.scatter_points)):
-            paths.append(
-                bounce(
-                    tgt.scatter_points[p_idx],
-                    tgt.reflectivities[p_idx],
-                    LABEL_TARGET,
-                    target_id=tgt.target_id,
-                    point_index=p_idx,
-                )
+    from_tx = points - tx
+    from_rx = points - rx.position  # its norms are those of rx - point, bit for bit
+    aoa = _row_angles((rx.orientation.T @ from_rx[:, :, None])[:, :, 0])
+    aod = _row_angles((BORESIGHT_ALONG_X.T @ from_tx[:, :, None])[:, :, 0])
+    if aoa is None or aod is None:
+        for p in points:  # raises at the first point the per-point path refuses
+            _local_angles(p - rx.position, rx.orientation)
+            _local_angles(p - tx, BORESIGHT_ALONG_X)
+    hops = _row_norms(from_tx) + _row_norms(from_rx)
+    amp = reflectivity * lam / (4.0 * np.pi * hops)
+    gains = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(points)))
+    delays = hops / scene.speed_of_light + rx.timing_offset
+    for (label, target_id, point_index), gain, delay, az_a, el_a, az_d, el_d in zip(
+        tags, gains.tolist(), delays, *(x.tolist() for x in (*aoa, *aod))
+    ):
+        paths.append(
+            PathRecord(
+                gain=gain,
+                delay=delay,
+                aoa=AnglePair(az_a, el_a),
+                aod=AnglePair(az_d, el_d),
+                label=label,
+                target_id=target_id,
+                point_index=point_index,
             )
-    for cl in scene.clutter:
-        paths.append(bounce(cl.position, cl.reflectivity, LABEL_CLUTTER))
+        )
     return paths
 
 
@@ -398,6 +457,10 @@ class SceneConfig:
         self.ue_box = check_box(self.ue_box)
         self.target_box = check_box(self.target_box)
         self.clutter_box = check_box(self.clutter_box)
+        if self.ue_box[2, 0] <= 0.0:  # Scene refuses a receiver at or below ground
+            raise ValueError(
+                f"ue_box z range must lie above ground (z > 0), got {self.ue_box[2].tolist()}"
+            )
         if not 0.0 <= self.clutter_in_foi_fraction <= 1.0:
             raise ValueError("clutter_in_foi_fraction must lie in [0, 1]")
         for name in ("target_reflectivity_range", "clutter_reflectivity_range"):
@@ -440,14 +503,19 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
     constraint cannot be met within ``config.max_attempts`` draws, which
     signals an infeasible recipe (for example a separation larger than
     the box allows).
+
+    Candidates are drawn one at a time; each is tested against all points
+    already placed, and against all receivers' fields of interest, as
+    arrays, with the same outcome bit for bit as a test point by point.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     cfg = config
 
     def place(box, existing, separation, extra_ok=None, what="point"):
+        existing = np.array(existing)
         for _ in range(cfg.max_attempts):
             cand = _sample_box(rng, box)
-            if existing and min(np.linalg.norm(cand - p) for p in existing) < separation:
+            if (_row_norms(cand - existing) < separation).any():
                 continue
             if extra_ok is not None and not extra_ok(cand):
                 continue
@@ -467,10 +535,8 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
 
     target_centers = []
     for _ in range(cfg.num_targets):
-        sep_ok = lambda c: (
-            not target_centers
-            or min(np.linalg.norm(c - t) for t in target_centers) >= cfg.target_min_separation_m
-        )
+        centers = np.reshape(target_centers, (-1, 3))
+        sep_ok = lambda c: not (_row_norms(c - centers) < cfg.target_min_separation_m).any()
         p = place(cfg.target_box, taken, cfg.min_separation_m, extra_ok=sep_ok, what="target")
         target_centers.append(p)
         taken.append(p)
@@ -500,23 +566,41 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
         refl = rng.uniform(*cfg.target_reflectivity_range, size=npts)
         targets.append(ExtendedTarget(target_id=t_idx, scatter_points=pts, reflectivities=refl))
 
+    rx_at = np.array(rx_positions).reshape(-1, 3)
+    # transposed views laid out as each rx.orientation.T, so the batched
+    # product below runs the BLAS kernel of the per-receiver one
+    rx_axes = np.array([rx.orientation for rx in receivers]).reshape(-1, 3, 3).transpose(0, 2, 1)
+
+    def in_some_foi(cand, margin) -> bool:
+        """Whether cand's forward-folded direction falls inside the FoI
+        (widened by margin) of at least one receiver."""
+        local = (rx_axes @ (cand - rx_at)[:, :, None])[:, :, 0]
+        local[:, 2] = np.abs(local[:, 2])
+        angles = _row_angles(local)
+        if angles is None:
+            # the per-receiver test raises its own error, unless a receiver
+            # before the refused one already holds cand
+            return any(
+                _folded_in_foi(cand, rx.position, rx.orientation, cfg.foi, margin)
+                for rx in receivers
+            )
+        az, el = angles
+        return bool(
+            ((np.abs(az) <= cfg.foi.azimuth + margin)
+             & (np.abs(el) <= cfg.foi.elevation + margin)).any()
+        )
+
     num_inside = int(round(cfg.clutter_in_foi_fraction * cfg.num_clutter))
     clutter = []
     for c_idx in range(cfg.num_clutter):
         if c_idx < num_inside:
             # deliberately inside the FoI of at least one receiver
-            ok = lambda cand: any(
-                _folded_in_foi(cand, rx.position, rx.orientation, cfg.foi, -cfg.foi_margin)
-                for rx in receivers
-            )
+            ok = lambda cand: in_some_foi(cand, -cfg.foi_margin)
             box = cfg.target_box
         else:
             # outside the (widened) FoI of every receiver, even after the
             # front-back fold a planar array cannot resolve
-            ok = lambda cand: not any(
-                _folded_in_foi(cand, rx.position, rx.orientation, cfg.foi, cfg.foi_margin)
-                for rx in receivers
-            )
+            ok = lambda cand: not in_some_foi(cand, cfg.foi_margin)
             box = cfg.clutter_box
         p = place(box, taken, cfg.min_separation_m, extra_ok=ok, what="clutter")
         taken.append(p)

@@ -10,8 +10,15 @@ import numpy as np
 
 from disacsim.estimator import ANGLE_GRID_POINTS, GOLDEN, NOISE_MARGIN, REL_FLOOR, EstimatedPath
 from disacsim.fusion import LosMeasurement, PathMeasurement
-from disacsim.geometry import BORESIGHT_ALONG_X, angles_from_direction
-from disacsim.scene import phase_ramp
+from disacsim.geometry import BORESIGHT_ALONG_X, angles_from_direction, as_vec3
+from disacsim.scene import (
+    _STREAM_PATH_PHASE,
+    LABEL_CLUTTER,
+    LABEL_LOS,
+    LABEL_TARGET,
+    PathRecord,
+    phase_ramp,
+)
 from disacsim.waveform import beam_response, expected_noise_energy
 
 
@@ -260,6 +267,60 @@ def exact_paths(scene, rx_id):
         EstimatedPath(gain=p.gain, delay=p.delay, aoa=p.aoa, aod=p.aod)
         for p in generate_ground_truth_paths(scene, rx_id)
     ]
+
+
+def reference_ground_truth_paths(scene, rx_id):
+    """``generate_ground_truth_paths`` one path at a time.
+
+    Each bounced path takes its own hop norms, its own phase draw from the
+    receiver's stream and its own direction checks, in path order, so the
+    array version must match it bit for bit and raise what it raises.
+    """
+    rx = scene.receiver(rx_id)
+    tx = scene.tx.position
+    lam = scene.tx.array.wavelength
+    rng = np.random.Generator(
+        np.random.Philox(key=[scene.phase_seed + rx_id, _STREAM_PATH_PHASE])
+    )
+
+    def local(direction, orientation):
+        return angles_from_direction(orientation.T @ as_vec3(direction))
+
+    d_los = np.linalg.norm(rx.position - tx)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    paths = [
+        PathRecord(
+            gain=complex(lam / (4.0 * np.pi * d_los) * np.exp(1j * phase)),
+            delay=d_los / scene.speed_of_light + rx.timing_offset,
+            aoa=local(tx - rx.position, rx.orientation),
+            aod=local(rx.position - tx, BORESIGHT_ALONG_X),
+            label=LABEL_LOS,
+        )
+    ]
+
+    def bounce(point, reflectivity, label, target_id=None, point_index=None):
+        point = as_vec3(point)
+        r = np.linalg.norm(point - tx)
+        d = np.linalg.norm(rx.position - point)
+        amp = reflectivity * lam / (4.0 * np.pi * (r + d))
+        ph = rng.uniform(0.0, 2.0 * np.pi)
+        return PathRecord(
+            gain=complex(amp * np.exp(1j * ph)),
+            delay=(r + d) / scene.speed_of_light + rx.timing_offset,
+            aoa=local(point - rx.position, rx.orientation),
+            aod=local(point - tx, BORESIGHT_ALONG_X),
+            label=label,
+            target_id=target_id,
+            point_index=point_index,
+        )
+
+    for tgt in scene.targets:
+        for p_idx in range(len(tgt.scatter_points)):
+            paths.append(bounce(tgt.scatter_points[p_idx], tgt.reflectivities[p_idx],
+                                LABEL_TARGET, target_id=tgt.target_id, point_index=p_idx))
+    for cl in scene.clutter:
+        paths.append(bounce(cl.position, cl.reflectivity, LABEL_CLUTTER))
+    return paths
 
 
 def path_delay(scene, rx_id, scatter_point):

@@ -216,6 +216,17 @@ def test_simulate_refuses_a_scene_it_cannot_place(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_simulate_refuses_receivers_that_could_sit_underground(tmp_path, capsys):
+    scene = {**MINI["scene"], "ue_box": [[15, 25], [-8, 8], [-1, -0.5]]}
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, scene=scene),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: scene: ue_box z range must lie above ground (z > 0), got [-1.0, -0.5]\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_estimate_rank_zero_returns_no_paths(tmp_path, capsys):
     prefix = small_tensor(tmp_path)
     assert main(["estimate", "--tensor", prefix, "--rank", "0"]) == 0

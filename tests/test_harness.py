@@ -187,6 +187,12 @@ def test_config_rejects_bad_values():
         )
     with pytest.raises(ConfigError, match="scene.ue_box"):
         scenario_from_dict({"schema": SCHEMA, "scene": {"ue_box": [1.0, 2.0]}})
+    # a receiver drawn at or below ground would fail every trial at its scene
+    for z_range in ([-1.0, -0.5], [0.0, 1.5]):
+        with pytest.raises(ConfigError, match=r"^scene: ue_box z range must lie above ground"):
+            scenario_from_dict(
+                {"schema": SCHEMA, "scene": {"ue_box": [[15, 25], [-8, 8], z_range]}}
+            )
     # more beams than the 16-element BS azimuth axis has
     with pytest.raises(ConfigError, match="beams.bs_az"):
         scenario_from_dict({"schema": SCHEMA, "beams": {"bs_az": 40}})

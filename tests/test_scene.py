@@ -1,10 +1,11 @@
+import hashlib
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from oracles import path_delay
+from oracles import path_delay, reference_ground_truth_paths
 
 from disacsim.geometry import (
     BORESIGHT_ALONG_X,
@@ -257,6 +258,74 @@ def test_scene_rejects_duplicate_ids_and_positions():
         Scene(tx=tx, receivers=[rx(0, [40, 0, 1]), rx(1, [40, 0, 1])], targets=[], clutter=[])
 
 
+GEOM = UpaGeometry(2, 2, 0.01, 0.02)
+TX_AT = [0.0, 0.0, 14.0]
+
+
+def _rx(i, pos):
+    return ReceiverNode(i, pos, BORESIGHT_ALONG_X.copy(), 0.0, GEOM)
+
+
+def _target(i, points):
+    return ExtendedTarget(i, np.array(points, dtype=float), np.ones(len(points)))
+
+
+def _scene_of(receivers=(), targets=(), clutter=()):
+    return Scene(
+        tx=TransmitterNode(TX_AT, GEOM),
+        receivers=list(receivers),
+        targets=list(targets),
+        clutter=[ClutterPoint(p, 0.5) for p in clutter],
+    )
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # tx - rx
+        dict(receivers=[_rx(0, [20, 0, 1]), _rx(1, TX_AT)]),
+        # rx - rx, the last pair of receivers
+        dict(receivers=[_rx(0, [20, 0, 1]), _rx(1, [30, 0, 1]), _rx(2, [30, 0, 1])]),
+        # rx - target centroid
+        dict(receivers=[_rx(0, [20, 0, 1])], targets=[_target(0, [[19, 0, 1], [21, 0, 1]])]),
+        # target - clutter
+        dict(receivers=[_rx(0, [20, 0, 1])], targets=[_target(0, [[50, 0, 1]])],
+             clutter=[[10, 10, 2], [50, 0, 1]]),
+        # clutter - clutter
+        dict(receivers=[_rx(0, [20, 0, 1])], clutter=[[10, 10, 2], [10, 20, 2], [10, 10, 2]]),
+    ],
+    ids=["tx-rx", "rx-rx", "rx-target", "target-clutter", "clutter-clutter"],
+)
+def test_scene_refuses_a_repeated_position_of_any_kind(parts):
+    with pytest.raises(ValueError, match="^node/target positions must be distinct$"):
+        _scene_of(**parts)
+
+
+def test_scene_distinctness_tolerance():
+    # 1e-9 m + 1e-5 * |b| per axis: 1 cm apart at 50 m are two points ...
+    _scene_of(receivers=[_rx(0, [20, 0, 1])], clutter=[[50, 0, 1], [50.01, 0, 1]])
+    # ... 0.4 mm apart there are one
+    with pytest.raises(ValueError, match="distinct"):
+        _scene_of(receivers=[_rx(0, [20, 0, 1])], clutter=[[50, 0, 1], [50.0004, 0, 1]])
+    # near the origin only the 1e-9 m floor is left
+    _scene_of(receivers=[_rx(0, [1e-8, 0, 1]), _rx(1, [0, 0, 1])])
+    with pytest.raises(ValueError, match="distinct"):
+        _scene_of(receivers=[_rx(0, [0, 0, 1]), _rx(1, [5e-10, 0, 1])])
+
+
+def test_paths_refuse_a_scatter_point_on_the_receiver_or_not_finite():
+    at_rx = _scene_of(receivers=[_rx(0, [20, 0, 1])],
+                      targets=[_target(0, [[30, 0, 1]]), _target(1, [[20, 0, 1], [22, 0, 1]])])
+    nan = _scene_of(receivers=[_rx(0, [20, 0, 1])],
+                    targets=[_target(0, [[30, 0, 1], [np.nan, 0, 1]])])
+    for scene, message in ((at_rx, "^zero direction vector$"),
+                           (nan, "^vector components must be finite$")):
+        with pytest.raises(ValueError, match=message):
+            reference_ground_truth_paths(scene, 0)
+        with pytest.raises(ValueError, match=message):
+            generate_ground_truth_paths(scene, 0)
+
+
 def test_scene_receiver_lookup():
     scene = _simple_scene()
     assert scene.receiver(0).node_id == 0
@@ -342,11 +411,103 @@ def test_random_scene_forced_in_foi_clutter():
 
 
 def test_random_scene_infeasible_raises():
-    cfg = _desk_config(
-        num_receivers=8,
-        ue_box=np.array([[15.0, 16.0], [-1.0, 1.0], [1.2, 1.3]]),
-        max_attempts=50,
-    )
-    with pytest.raises(SceneSamplingError):
-        random_scene(cfg, seed=0)
+    for overrides, what in [
+        (dict(num_receivers=8, ue_box=np.array([[15.0, 16.0], [-1.0, 1.0], [1.2, 1.3]])),
+         "receiver"),
+        (dict(num_targets=3, target_box=[[40.0, 45.0], [-2.0, 2.0], [0.5, 1.8]]), "target"),
+        # no point of this clutter box lies outside every receiver's FoI
+        (dict(clutter_box=[[45.0, 50.0], [-1.0, 1.0], [1.0, 2.0]]), "clutter"),
+    ]:
+        cfg = _desk_config(max_attempts=50, **overrides)
+        with pytest.raises(SceneSamplingError) as err:
+            random_scene(cfg, seed=0)
+        assert str(err.value) == (f"could not place {what} after 50 attempts; "
+                                  "check box sizes against separation constraints")
 
+
+def _dense_config(**overrides):
+    """Four receivers, five 5-point targets and eight clutter points, half of
+    them inside the field of interest, in boxes wide enough to hold them."""
+    kw = dict(
+        num_receivers=4,
+        num_targets=5,
+        scatter_points_per_target=5,
+        num_clutter=8,
+        clutter_in_foi_fraction=0.5,
+        ue_box=[[12.0, 28.0], [-8.0, 8.0], [1.2, 1.8]],
+        target_box=[[40.0, 70.0], [-20.0, 20.0], [0.5, 1.8]],
+    )
+    kw.update(overrides)
+    return _desk_config(**kw)
+
+
+# sha256 of _scene_json(random_scene(config, seed)), recorded from the
+# point-by-point sampler that the array version replaced
+SCENE_DIGESTS = {
+    ("desk", 0): "e481099c490cd18ad215a2c3e4554d837132ea7b1c0756e9e56901ed8acbfc3c",
+    ("desk", 1): "882d427fac82c3ed2658f0b1a7409b9aad8f1d57993874db89b151eab4a26c3b",
+    ("desk", 7): "4caebaaf84bbfefc42ac9fa5f3cc22f1da6dc734c9d86d96c9cd7f1c32fb6f86",
+    ("dense", 0): "1710e66d3d7c4f6a64ecab534f06410524d394333b38725ddcd6fa747ad3712b",
+    ("dense", 1): "3d711e0913e42225edab1708d77dc75b43179b1a4b4e2d1f210724b71c38a007",
+    ("dense", 23): "fd60cc59d60a021ad1f99cd6e7157eb97f896efa6d065c014f60c286b4fad1f4",
+}
+
+
+@pytest.mark.parametrize("recipe, seed", sorted(SCENE_DIGESTS))
+def test_random_scene_digest_is_pinned(recipe, seed):
+    cfg = {"desk": _desk_config, "dense": _dense_config}[recipe]()
+    digest = hashlib.sha256(_scene_json(random_scene(cfg, seed)).encode()).hexdigest()
+    assert digest == SCENE_DIGESTS[recipe, seed]
+
+
+@pytest.mark.parametrize(
+    "config, seeds",
+    [
+        (_desk_config(), range(6)),
+        (_dense_config(), range(4)),
+        (_desk_config(target_extent_m=0.0), range(3)),
+        (_dense_config(target_extent_m=0.0), range(2)),
+        (_desk_config(num_targets=0, num_clutter=0), range(2)),
+    ],
+    ids=["desk", "dense", "desk-point-targets", "dense-point-targets", "no-scatterers"],
+)
+def test_ground_truth_paths_equal_the_point_by_point_reference(config, seeds):
+    for seed in seeds:
+        scene = random_scene(config, seed)
+        for rx in scene.receivers:
+            fast = generate_ground_truth_paths(scene, rx.node_id)
+            slow = reference_ground_truth_paths(scene, rx.node_id)
+            assert len(fast) == len(slow) == 1 + sum(
+                len(t.scatter_points) for t in scene.targets) + len(scene.clutter)
+            for f, r in zip(fast, slow):  # every field, exactly
+                assert f == r
+                assert type(f.delay) is type(r.delay) and type(f.gain) is type(r.gain)
+
+
+def test_ground_truth_paths_of_tilted_receivers_equal_the_reference():
+    rng = np.random.default_rng(3)
+    receivers = []
+    for i, pos in enumerate(([20, 0, 1], [25, -6, 1.5])):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        receivers.append(ReceiverNode(i, pos, q * np.sign(np.linalg.det(q)), 1e-8, GEOM))
+    scene = _scene_of(
+        receivers=receivers,
+        targets=[_target(0, [[50, 1, 1], [50.5, 1.2, 0.8]]), _target(1, [[45, -9, 1.5]])],
+        clutter=[[10, 20, 3], [30, -25, 8]],
+    )
+    scene.targets[1].reflectivities[:] = 0.7
+    for rx in scene.receivers:
+        assert generate_ground_truth_paths(scene, rx.node_id) == reference_ground_truth_paths(
+            scene, rx.node_id)
+    bare = _scene_of(receivers=receivers)
+    assert generate_ground_truth_paths(bare, 1) == reference_ground_truth_paths(bare, 1)
+
+
+def test_random_scene_clutter_on_a_receiver_fails_the_direction_check():
+    # point boxes and no separation put the clutter candidate on the receiver,
+    # whose direction to it is zero
+    spot = [[20.0, 20.0], [0.0, 0.0], [1.5, 1.5]]
+    cfg = _desk_config(num_receivers=1, num_targets=0, num_clutter=1, min_separation_m=0.0,
+                       ue_box=spot, clutter_box=spot)
+    with pytest.raises(ValueError, match="^zero direction vector$"):
+        random_scene(cfg, seed=0)
