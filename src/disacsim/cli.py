@@ -11,6 +11,7 @@ Exit status: 0 on success, 2 on a malformed configuration, 1 when
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -141,7 +142,11 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of main: parse_args leaves it unchanged, and callers must not
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="disacsim",
         description="multistatic sensing simulation and estimation toolkit",
@@ -164,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a scene and export its tensors")
     common(p, modes=False)
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate paths from an exported tensor")
     p.add_argument("--tensor", required=True, help="tensor file prefix (no extension)")
@@ -173,18 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", default=AlsOptions.restarts)
     p.add_argument("--seed", default=AlsOptions.seed)
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("e2e", help="run one end-to-end trial")
     common(p)
     p.add_argument("--out", help="write the trial result JSON here")
-    p.set_defaults(func=cmd_e2e)
 
     p = sub.add_parser("montecarlo", help="run a Monte Carlo sweep")
     common(p, trials=True)
     p.add_argument("--out-json", help="full results JSON path")
     p.add_argument("--out-csv", help="per-entity error CSV path")
-    p.set_defaults(func=cmd_montecarlo)
     return parser
 
 
@@ -194,8 +195,11 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # looked up on each call, so the cached parser binds no command function
+    commands = {"simulate": cmd_simulate, "estimate": cmd_estimate, "e2e": cmd_e2e,
+                "montecarlo": cmd_montecarlo}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

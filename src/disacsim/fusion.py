@@ -30,9 +30,22 @@ The clock column is stored as the bias c * dt_n in meters (coefficient
 1 in the delay rows); leaving the factor c on an otherwise O(1) column
 would push the normal-matrix condition past 1e16 on every realistic
 scene. Extraction divides it back out.
+
+Only the five unknowns of each receiver (c * dt_n, p_n, r_los_n) are
+shared between targets. A target's r_m and its d_{m,n} are local: they
+appear in that target's rows and nowhere else. build_joint_system
+records each target's row range and local columns as a block, and
+solve_wls eliminates every block's local unknowns by a QR of its rows,
+solves the reduced system in the receiver unknowns (what the blocks
+leave, stacked on the LoS rows) by QR, and back-substitutes each
+target's local unknowns. The refusal rule is the dense SVD's: a
+cheap upper bound on cond(A^T W A) accepts the system when it is at most
+CONDITION_LIMIT, and otherwise the SVD of the same weighted matrix
+decides and names the dependent column (see solve_wls).
 """
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,12 +150,18 @@ class UnknownLayout:
 
 @dataclass
 class LinearSystem:
-    """Weighted linear system A x ~ b with per-row provenance."""
+    """Weighted linear system A x ~ b with per-row provenance.
+
+    blocks holds one (rows, columns) pair per target: the range of its
+    rows and its local columns (r_m, then its d_{m,n} by receiver), which
+    no other row touches.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     weights: np.ndarray
     layout: UnknownLayout
+    blocks: list[tuple[range, tuple[int, ...]]] = field(default_factory=list)
 
 
 def build_joint_system(
@@ -163,6 +182,9 @@ def build_joint_system(
     Each kept receiver brings a path, so the rows (four per path and per
     receiver) always outnumber the unknowns (one per target, one per
     observed target-receiver pair, five per receiver).
+
+    Each target's rows and local columns are recorded in
+    LinearSystem.blocks for solve_wls.
 
     Raises UnderdeterminedError when no receiver has an associated
     reflection path, which leaves the clock offsets unobservable.
@@ -189,8 +211,12 @@ def build_joint_system(
     a = np.zeros((rows, len(layout.labels)))
     b = np.zeros(rows)
     w = np.zeros(rows)
+    blocks = []
     r = 0
     for m, ms in kept.items():
+        receivers = dict.fromkeys(meas.ue_id for meas in ms)  # ascending: ms is sorted
+        local = (layout.range_cols[m], *(layout.pair_cols[(m, n)] for n in receivers))
+        start = r
         for meas in ms:
             n = meas.ue_id
             cr, cd = layout.range_cols[m], layout.pair_cols[(m, n)]
@@ -207,6 +233,7 @@ def build_joint_system(
             b[r] = c * meas.delay
             w[r] = meas.weight
             r += 1
+        blocks.append((range(start, r), local))
     for n in ue_ids:
         meas = los[n]
         cp, ct, cl = layout.position_cols[n], layout.offset_cols[n], layout.los_range_cols[n]
@@ -221,7 +248,7 @@ def build_joint_system(
         w[r] = meas.weight
         r += 1
     assert r == rows
-    return LinearSystem(matrix=a, rhs=b, weights=w, layout=layout)
+    return LinearSystem(matrix=a, rhs=b, weights=w, layout=layout, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +257,10 @@ def build_joint_system(
 
 
 def solve_wls(
-    matrix: np.ndarray, rhs: np.ndarray, weights: np.ndarray
+    matrix: np.ndarray,
+    rhs: np.ndarray,
+    weights: np.ndarray,
+    blocks: Sequence[tuple[range, Sequence[int]]] = (),
 ) -> tuple[np.ndarray, float]:
     """Weighted least squares via orthogonal factorization of W^(1/2) A.
 
@@ -240,8 +270,29 @@ def solve_wls(
     cannot null its rows into an exactly singular system. Returns (x,
     weighted residual norm).
 
+    blocks (as in LinearSystem.blocks) name row ranges and the local
+    columns that only those rows touch; every other column is shared.
+    Blocks of one shape are factored together: one QR of each block's
+    rows, local columns first, then the shared columns and b. Its top
+    rows hold the local triangle R_k and the block's coupling to the
+    shared columns; the rows below are the block's share of the reduced
+    system in the shared columns. Those shares, stacked on the rows
+    outside every block, are solved by QR, and each block's local
+    unknowns follow by back-substitution. Without blocks the whole
+    system is the reduced one.
+
     Raises IllConditionedError when cond(A^T W A) exceeds 1e12, naming a
-    dependent column.
+    dependent column. The triangular factors above make up the R of a QR
+    of the column-permuted W^(1/2) A, so cond(A^T W A) <= ||W^(1/2) A||_F^2
+    * ||R^-1||_F^2, and R^-1 follows blockwise from the inverses of the
+    factors. A system whose bound is at most 1e12 is accepted. Any other
+    goes to the SVD of the same W^(1/2) A, which accepts it (and gives x)
+    or refuses it, naming as the dependent column the largest entry of
+    its last right singular vector. With n >= 3 unknowns the bound exceeds
+    cond(A^T W A) by a relative 2 (n - 2) / cond(W^(1/2) A) or more, at
+    least 2e-6 at the limit and far above the rounding of either figure,
+    so the SVD accepts every system the bound does, and every refusal and
+    its message is the SVD's.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -260,6 +311,68 @@ def solve_wls(
     aw = a * sw[:, None]
     bw = b * sw
 
+    with np.errstate(all="ignore"):  # a near-singular factor only raises the bound
+        x = _solve_by_blocks(aw, bw, blocks)
+    if x is None:
+        x = _solve_by_svd(aw, bw)
+    residual = float(np.linalg.norm(aw @ x - bw))
+    return x, residual
+
+
+def _solve_by_blocks(aw, bw, blocks):
+    """The block-eliminated solution of aw x ~ bw, or None unless its
+    bound certifies cond(aw^T aw) <= CONDITION_LIMIT."""
+    by_shape: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for rows, cols in blocks:
+        by_shape.setdefault((len(rows), len(cols)), []).append((rows.start, *cols))
+    outside_rows = np.ones(aw.shape[0], dtype=bool)
+    shared = np.ones(aw.shape[1], dtype=bool)
+    groups = []  # per block shape: (local column count, row and column indices)
+    for (p, q), members in by_shape.items():
+        if p < q:
+            return None
+        members = np.array(members)
+        rows = members[:, :1] + np.arange(p)
+        outside_rows[rows] = False
+        shared[members[:, 1:]] = False
+        groups.append((q, rows, members[:, 1:]))
+    # the right-hand side rides along as a last column: [A | b]
+    system = np.column_stack([aw, bw])
+    shared_cols = np.append(np.flatnonzero(shared), aw.shape[1])
+    n_shared = shared_cols.size - 1
+    reduced = [system[outside_rows][:, shared_cols]]
+    eliminated = []
+    for q, rows, local in groups:
+        cols = np.concatenate([local, np.broadcast_to(shared_cols, (len(local), n_shared + 1))], 1)
+        # one R per target of its rows, local columns first: its top q rows
+        # hold [R_k | S_k | Q_k^T b], the rest are the rows' share of the
+        # reduced system in the shared columns
+        r = np.linalg.qr(system[rows[:, :, None], cols[:, None, :]], mode="r")
+        eliminated.append((local, r[:, :q, :q], r[:, :q, q:-1], r[:, :q, -1]))
+        reduced.append(r[:, q:, q:].reshape(-1, n_shared + 1))
+    r = np.linalg.qr(np.concatenate(reduced), mode="r")
+    if r.shape[0] < n_shared:
+        return None
+    try:
+        r_shared_inv = np.linalg.inv(r[:n_shared, :n_shared])
+        r_local_invs = [np.linalg.inv(r_local) for _, r_local, _, _ in eliminated]
+    except np.linalg.LinAlgError:  # an exactly singular factor
+        return None
+    y = r_shared_inv @ r[:n_shared, -1]
+    x = np.empty(aw.shape[1])
+    x[shared_cols[:-1]] = y
+    inverse_sq = np.sum(r_shared_inv**2)  # ||R^-1||_F^2, block by block
+    for (local, _, coupling, rhs), r_inv in zip(eliminated, r_local_invs):
+        coupling = r_inv @ coupling
+        x[local] = (r_inv @ rhs[:, :, None])[:, :, 0] - coupling @ y
+        inverse_sq += np.sum(r_inv**2) + np.sum((coupling @ r_shared_inv) ** 2)
+    if not np.sum(aw * aw) * inverse_sq <= CONDITION_LIMIT:
+        return None
+    return x
+
+
+def _solve_by_svd(aw, bw):
+    """The SVD solution of aw x ~ bw; refuses cond(aw^T aw) > CONDITION_LIMIT."""
     u, s, vt = np.linalg.svd(aw, full_matrices=False)
     if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > CONDITION_LIMIT:
         dependent = int(np.argmax(np.abs(vt[-1])))
@@ -268,9 +381,7 @@ def solve_wls(
             f"exceeds {CONDITION_LIMIT:.0e}; column {dependent} is numerically dependent",
             dependent_column=dependent,
         )
-    x = vt.conj().T @ ((u.conj().T @ bw) / s)
-    residual = float(np.linalg.norm(aw @ x - bw))
-    return x, residual
+    return vt.conj().T @ ((u.conj().T @ bw) / s)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +467,7 @@ def run_fusion(
     system = build_joint_system(clusters, los, p_bs, speed_of_light)
     w = system.weights if weighting == "wls" else np.ones_like(system.weights)
     try:
-        x, residual = solve_wls(system.matrix, system.rhs, w)
+        x, residual = solve_wls(system.matrix, system.rhs, w, system.blocks)
     except IllConditionedError as exc:
         col = exc.dependent_column
         raise IllConditionedError(f"{exc} ({system.layout.labels[col]})", col) from exc

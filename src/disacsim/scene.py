@@ -119,8 +119,14 @@ class ExtendedTarget:
         self.reflectivities = np.asarray(self.reflectivities, dtype=float)
         if self.scatter_points.ndim != 2 or self.scatter_points.shape[1] != 3:
             raise ValueError("scatter_points must have shape (P, 3)")
+        if len(self.scatter_points) == 0:
+            raise ValueError("a target needs at least one scatter point")
+        if not np.all(np.isfinite(self.scatter_points)):
+            raise ValueError("scatter points must be finite")
         if self.reflectivities.shape != (self.scatter_points.shape[0],):
             raise ValueError("one reflectivity per scatter point required")
+        if not np.all(np.isfinite(self.reflectivities)):
+            raise ValueError("reflectivities must be finite")
         if np.any(self.reflectivities < 0.0):
             raise ValueError("reflectivities must be nonnegative")
         if self.extent() > self.MAX_EXTENT_M:

@@ -3,13 +3,21 @@
 Everything here is deliberately written with a different algorithmic
 approach than the code under test (union-find instead of BFS, explicit
 normal equations instead of SVD, closed-form geometry instead of the
-estimation chain) so agreement is meaningful.
+estimation chain) so agreement is meaningful. Where the package replaced
+a plain algorithm by a faster one (the dense SVD solve by block
+elimination), the plain one is kept here as the reference.
 """
 
 import numpy as np
 
 from disacsim.estimator import ANGLE_GRID_POINTS, GOLDEN, NOISE_MARGIN, REL_FLOOR, EstimatedPath
-from disacsim.fusion import LosMeasurement, PathMeasurement
+from disacsim.fusion import (
+    CONDITION_LIMIT,
+    WEIGHT_FLOOR_FRACTION,
+    IllConditionedError,
+    LosMeasurement,
+    PathMeasurement,
+)
 from disacsim.geometry import BORESIGHT_ALONG_X, angles_from_direction, as_vec3
 from disacsim.scene import (
     _STREAM_PATH_PHASE,
@@ -108,6 +116,32 @@ def wls_normal_equations(a, b, w):
     awa = a.T @ (w[:, None] * a)
     awb = a.T @ (w * b)
     return np.linalg.solve(awa, awb)
+
+
+def reference_solve_wls(a, b, w):
+    """Dense SVD solve of the whole weighted system, and its refusal rule.
+
+    The weights are floored and the system weighted as fusion.solve_wls
+    does; the SVD refuses cond(A^T W A) > CONDITION_LIMIT and names the
+    largest entry of the last right singular vector. Returns (x, weighted
+    residual norm).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    w = np.asarray(w, dtype=float)
+    sw = np.sqrt(np.maximum(w, WEIGHT_FLOOR_FRACTION * w.max()))
+    aw = a * sw[:, None]
+    bw = b * sw
+    u, s, vt = np.linalg.svd(aw, full_matrices=False)
+    if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > CONDITION_LIMIT:
+        dependent = int(np.argmax(np.abs(vt[-1])))
+        raise IllConditionedError(
+            f"normal matrix condition {np.inf if s[-1] == 0 else (s[0] / s[-1]) ** 2:.2e} "
+            f"exceeds {CONDITION_LIMIT:.0e}; column {dependent} is numerically dependent",
+            dependent_column=dependent,
+        )
+    x = vt.T @ ((u.T @ bw) / s)
+    return x, float(np.linalg.norm(aw @ x - bw))
 
 
 def random_well_conditioned_system(rng, rows, cols, cond_max=50.0):

@@ -272,6 +272,45 @@ def test_estimate_defaults_to_the_stock_als_options(monkeypatch, capsys):
     assert seen["rank"] == "auto"
 
 
+def test_main_runs_subcommands_one_after_another_with_independent_flags(monkeypatch, capsys):
+    seen = []
+
+    class Trial:
+        def canonical_dict(self):
+            return {}
+
+    def fake_estimate(tensor, rank, opts, max_rank):
+        seen.append(("estimate", tensor, rank, opts.seed, opts.restarts))
+        return []
+
+    def fake_trial(config, trial):
+        seen.append(("e2e", [mode.name for mode in config.modes], config.seed))
+        return Trial()
+
+    monkeypatch.setattr(cli, "load_tensor", lambda prefix: prefix)
+    monkeypatch.setattr(cli, "estimate_paths", fake_estimate)
+    monkeypatch.setattr(cli, "run_trial", fake_trial)
+    runs = [
+        ["estimate", "--tensor", "a", "--rank", "3", "--seed", "5", "--restarts", "2"],
+        ["e2e", "--mode", "isac:1", "--mode", "disac-ls", "--seed", "4"],
+        ["e2e", "--mode", "isac:0"],
+        ["estimate", "--tensor", "b"],
+    ]
+    assert [main(argv) for argv in runs] == [0, 0, 0, 0]
+    stock_seed = default_scenario().seed
+    assert seen == [
+        ("estimate", "a", 3, 5, 2),
+        ("e2e", ["isac:1", "disac-ls"], 4),
+        ("e2e", ["isac:0"], stock_seed),  # no mode or seed left over from the run before
+        ("estimate", "b", "auto", AlsOptions().seed, AlsOptions().restarts),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    # the shared parser does not pin the command functions of its first use
+    monkeypatch.setattr(cli, "cmd_e2e", lambda args: seen.append(("patched", args.seed)) or 0)
+    assert main(["e2e", "--seed", "6"]) == 0
+    assert seen[-1] == ("patched", "6")
+
+
 def edit_header(prefix: str, edit) -> None:
     with open(prefix + ".json") as fh:
         header = json.load(fh)

@@ -1,15 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     los_measurement_from,
     path_measurement_from,
     random_well_conditioned_system,
+    reference_solve_wls,
     wls_normal_equations,
 )
 
+from disacsim import fusion
 from disacsim.fusion import (
     IllConditionedError,
+    LinearSystem,
+    LosMeasurement,
     PathMeasurement,
     UnderdeterminedError,
     UnknownLayout,
@@ -182,6 +190,15 @@ def test_solve_wls_duplicate_column():
     with pytest.raises(IllConditionedError) as exc:
         solve_wls(a, b, np.ones(10))
     assert exc.value.dependent_column in (1, 4)
+    # refused as the dense SVD refuses it, also with the copy filed as a
+    # block's local unknown
+    with pytest.raises(IllConditionedError) as expected:
+        reference_solve_wls(a, b, np.ones(10))
+    with pytest.raises(IllConditionedError) as blocked:
+        solve_wls(a, b, np.ones(10), [(range(0, 10), (4,))])
+    for refusal in (exc, blocked):
+        assert str(refusal.value) == str(expected.value)
+        assert refusal.value.dependent_column == expected.value.dependent_column
 
 
 def test_solve_wls_duplicated_rows_keep_solution():
@@ -198,6 +215,157 @@ def test_solve_wls_duplicated_rows_keep_solution():
     x3, _ = solve_wls(a, b, w3)
     np.testing.assert_allclose(x2, x3, atol=1e-10)
     assert not np.allclose(x1, x3, atol=1e-14) or np.allclose(a @ x1, b, atol=1e-12)
+
+
+def test_build_records_each_targets_rows_and_local_columns():
+    _, los = exact_inputs()
+    clusters = {
+        4: [exact_path(1, 1, 0), exact_path(1, 0, 1), exact_path(1, 1, 2)],
+        2: [exact_path(0, 0, 3)],
+    }
+    system = build_joint_system(clusters, los, P_BS, SPEED_OF_LIGHT)
+    layout = system.layout
+    assert system.blocks == [
+        (range(0, 4), (layout.range_cols[2], layout.pair_cols[(2, 0)])),
+        (range(4, 16), (layout.range_cols[4], layout.pair_cols[(4, 0)], layout.pair_cols[(4, 1)])),
+    ]
+    # a block's rows touch only its own local columns and the receiver columns
+    receiver_cols = set(range(layout.offset_cols[0], len(layout.labels)))
+    for rows, cols in system.blocks:
+        touched = set(np.flatnonzero(np.any(system.matrix[rows.start : rows.stop] != 0.0, axis=0)))
+        assert touched <= set(cols) | receiver_cols
+
+
+def random_clusters(n_rx, targets, seed, degenerate=None):
+    """Noisy measurements of a random scene: targets[m] lists the receiver
+    of each of target m's paths, so repeats share that receiver's d_{m,n}.
+    For the target numbered degenerate every u_v is set to its u_bs, as for
+    a direct path filed as a reflection, so its r and d columns are dependent."""
+    rng = np.random.default_rng(seed)
+    ue = {n: np.array([rng.uniform(10, 30), rng.uniform(-15, 15), rng.uniform(1, 2)])
+          for n in range(n_rx)}
+    dt = {n: rng.uniform(-50e-9, 50e-9) for n in range(n_rx)}
+    clusters = {}
+    for m, receivers in enumerate(targets):
+        centre = np.array([rng.uniform(35, 60), rng.uniform(-20, 20), rng.uniform(0.5, 2)])
+        paths = []
+        for k, n in enumerate(receivers):
+            scatter = centre + rng.uniform(-1.0, 1.0, 3)
+            meas = path_measurement_from(
+                P_BS, ue[n], scatter, dt[n], SPEED_OF_LIGHT, ue_id=n, path_index=k,
+                weight=rng.uniform(0.1, 3.0),
+            )
+            u_bs = meas.u_bs + rng.normal(0.0, 2e-3, 3)
+            u_v = u_bs if m == degenerate else meas.u_v + rng.normal(0.0, 2e-3, 3)
+            paths.append(replace(meas, u_bs=u_bs, u_v=u_v,
+                                 delay=meas.delay + rng.normal(0.0, 0.3e-9)))
+        clusters[10 * m + 3] = paths
+    los = {n: replace(los_measurement_from(P_BS, ue[n], dt[n], SPEED_OF_LIGHT, ue_id=n),
+                      weight=rng.uniform(0.5, 3.0)) for n in range(n_rx)}
+    return clusters, los
+
+
+@st.composite
+def cluster_layouts(draw):
+    n_rx = draw(st.integers(1, 4))
+    paths = st.lists(st.integers(0, n_rx - 1), min_size=1, max_size=5)
+    targets = draw(st.lists(paths, min_size=1, max_size=6))
+    return n_rx, targets, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_solves_alike(system, weights):
+    """solve_wls over the system's blocks gives the dense SVD's solution,
+    or raises its refusal word for word."""
+    try:
+        expected = reference_solve_wls(system.matrix, system.rhs, weights)
+    except IllConditionedError as exc:
+        with pytest.raises(IllConditionedError) as ours:
+            solve_wls(system.matrix, system.rhs, weights, system.blocks)
+        assert str(ours.value) == str(exc)
+        assert ours.value.dependent_column == exc.dependent_column
+        return False
+    with pytest.MonkeyPatch.context() as patch:  # accepted by the bound, not the SVD
+        patch.setattr(fusion, "_solve_by_svd", None)
+        x, residual = solve_wls(system.matrix, system.rhs, weights, system.blocks)
+    x_ref, residual_ref = expected
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert residual == pytest.approx(residual_ref, rel=1e-10, abs=1e-12)
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cluster_layouts(), st.sampled_from(["wls", "ls"]))
+@example((1, [[0]] * 8, 7), "wls")  # the single-receiver system: singletons only
+@example((1, [[0, 0, 0]] * 3, 8), "wls")  # several paths of one receiver share d_{m,n}
+@example((4, [[0, 1, 2, 3, 1]] * 5, 9), "ls")
+def test_block_solve_matches_the_dense_svd(layout, weighting):
+    clusters, los = random_clusters(*layout)
+    system = build_joint_system(clusters, los, P_BS, SPEED_OF_LIGHT)
+    weights = system.weights if weighting == "wls" else np.ones_like(system.weights)
+    assert assert_solves_alike(system, weights)
+    # without blocks the same call is the fully dense case of the same solver
+    x, _ = solve_wls(system.matrix, system.rhs, weights)
+    x_ref, _ = reference_solve_wls(system.matrix, system.rhs, weights)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cluster_layouts(), st.data())
+def test_block_solve_refuses_what_the_dense_svd_refuses(layout, data):
+    n_rx, targets, seed = layout
+    degenerate = data.draw(st.integers(0, len(targets) - 1))
+    clusters, los = random_clusters(n_rx, targets, seed, degenerate)
+    system = build_joint_system(clusters, los, P_BS, SPEED_OF_LIGHT)
+    assert not assert_solves_alike(system, system.weights)
+
+
+def _coupled(scale):
+    # the local column 0 is nearly a multiple of the shared column 1: the
+    # local and the reduced triangles are mildly conditioned, and only the
+    # coupling between them brings cond(A^T W A) to 2e12 (1.25e11 at 2e-3)
+    return np.array([[scale, 1.0, 0.0], [0.0, 1e-3, 0.0], [0.0, 0.0, 0.0],
+                     [0.0, 1e-3, 0.0], [0.0, 0.0, 1.0]]), [(range(0, 3), (0,))]
+
+
+def _local_pair(gap):
+    # two local columns that differ by gap and touch no shared column:
+    # cond(A^T W A) is 1.6e13 at 1e-6 and 6.25e10 at 1.6e-5
+    return np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + gap, 0.0], [0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), [(range(0, 3), (0, 1))]
+
+
+@pytest.mark.parametrize("matrix, blocks, refused", [
+    (*_coupled(5e-4), True), (*_coupled(2e-3), False),
+    (*_local_pair(1e-6), True), (*_local_pair(1.6e-5), False),
+], ids=["coupled-refused", "coupled-accepted", "local-refused", "local-accepted"])
+def test_a_near_dependence_is_decided_as_before(matrix, blocks, refused):
+    b = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    system = LinearSystem(matrix, b, np.ones(5), UnknownLayout(), blocks)
+    assert assert_solves_alike(system, system.weights) is not refused
+
+
+def test_a_direct_path_filed_as_a_reflection_is_refused_as_before():
+    # the LoS pick landed on a reflection: the true direct path becomes a
+    # singleton cluster with u_v = u_bs (its r and d columns coincide), and
+    # the reflection serves as the direct path
+    ue = UE_POS[0]
+    direct = los_measurement_from(P_BS, ue, UE_DT[0], SPEED_OF_LIGHT, ue_id=0)
+    picked = exact_path(0, 0, path_index=1)
+    filed = PathMeasurement(ue_id=0, path_index=0, u_bs=direct.u_los, u_v=direct.u_los,
+                            delay=direct.delay, weight=direct.weight)
+    clusters = {0: [filed], 1: [picked], 2: [exact_path(1, 0, path_index=2)]}
+    los = {0: LosMeasurement(ue_id=0, u_los=picked.u_bs, delay=picked.delay,
+                             weight=picked.weight)}
+    system = build_joint_system(clusters, los, P_BS, SPEED_OF_LIGHT)
+    with pytest.raises(IllConditionedError) as expected:
+        reference_solve_wls(system.matrix, system.rhs, system.weights)
+    assert expected.value.dependent_column in (system.layout.range_cols[0],
+                                               system.layout.pair_cols[(0, 0)])
+    assert not assert_solves_alike(system, system.weights)
+    with pytest.raises(IllConditionedError) as fused:
+        run_fusion(clusters, los, P_BS, SPEED_OF_LIGHT)
+    label = system.layout.labels[expected.value.dependent_column]
+    assert str(fused.value) == f"{expected.value} ({label})"
 
 
 # ---------------------------------------------------------------------------

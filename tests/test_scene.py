@@ -230,6 +230,24 @@ def test_extended_target_validation():
     np.testing.assert_allclose(t.centroid(), [0.5, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "points, reflectivities, message",
+    [
+        ([[30.0, 0.0, 1.0], [np.nan, 0.0, 1.0]], [1.0, 1.0], "scatter points must be finite"),
+        ([[30.0, 0.0, 1.0], [31.0, np.inf, 1.0]], [1.0, 1.0], "scatter points must be finite"),
+        ([[30.0, 0.0, 1.0], [31.0, 0.0, -np.inf]], [1.0, 1.0], "scatter points must be finite"),
+        ([[30.0, 0.0, 1.0], [31.0, 0.0, 1.0]], [1.0, np.nan], "reflectivities must be finite"),
+        ([[30.0, 0.0, 1.0]], [np.inf], "reflectivities must be finite"),
+        (np.empty((0, 3)), np.empty(0), "a target needs at least one scatter point"),
+    ],
+    ids=["nan-point", "inf-point", "minus-inf-point", "nan-reflectivity", "inf-reflectivity",
+         "no-points"],
+)
+def test_extended_target_refuses_non_finite_or_empty_input(points, reflectivities, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExtendedTarget(0, np.array(points, dtype=float), np.array(reflectivities, dtype=float))
+
+
 def test_clutter_reflectivity_nonnegative():
     with pytest.raises(ValueError):
         ClutterPoint(position=[1.0, 2.0, 3.0], reflectivity=-0.1)
@@ -316,8 +334,11 @@ def test_scene_distinctness_tolerance():
 def test_paths_refuse_a_scatter_point_on_the_receiver_or_not_finite():
     at_rx = _scene_of(receivers=[_rx(0, [20, 0, 1])],
                       targets=[_target(0, [[30, 0, 1]]), _target(1, [[20, 0, 1], [22, 0, 1]])])
-    nan = _scene_of(receivers=[_rx(0, [20, 0, 1])],
-                    targets=[_target(0, [[30, 0, 1], [np.nan, 0, 1]])])
+    # ExtendedTarget refuses a NaN point; one set after construction still
+    # meets the path generator's own check
+    spoiled = _target(0, [[30, 0, 1], [31, 0, 1]])
+    spoiled.scatter_points = np.array([[30, 0, 1], [np.nan, 0, 1]])
+    nan = _scene_of(receivers=[_rx(0, [20, 0, 1])], targets=[spoiled])
     for scene, message in ((at_rx, "^zero direction vector$"),
                            (nan, "^vector components must be finite$")):
         with pytest.raises(ValueError, match=message):
