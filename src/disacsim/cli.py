@@ -66,7 +66,9 @@ def cmd_simulate(args) -> int:
     config = _scenario(args)
     try:
         scene = random_scene(config.scene, config.seed)
-    except SceneSamplingError as exc:  # the recipe cannot be met: a config fault
+    except (SceneSamplingError, ValueError) as exc:
+        # a recipe that cannot be met, or whose draw the scene model
+        # refuses (points that coincide): a config fault
         raise ConfigError(f"scene: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     scene_path = os.path.join(args.out_dir, "scene.json")

@@ -517,9 +517,9 @@ def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarra
     d = GOLDEN * (b - a)
     x1, x2 = b - d, a + d
     f1, f2 = probe(np.stack([x1, x2], axis=1)).T
-    live = b - a > 1.0e-6
-    while live.any():
-        old = (a, b, x1, x2, f1, f2)
+    # every bracket starts one grid step either side and shrinks by the
+    # same ratio, so all columns stop on the same step
+    while (b - a > 1.0e-6).any():
         right = f1 < f2  # the maximum lies in [x1, b]
         a = np.where(right, x1, a)
         b = np.where(right, b, x2)
@@ -528,12 +528,6 @@ def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarra
         f = probe(x[:, None])[:, 0]
         x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
         f1, f2 = np.where(right, f2, f), np.where(right, f, f1)
-        if not live.all():
-            # a finished column keeps its bracket
-            a, b, x1, x2, f1, f2 = (
-                np.where(live, new, kept) for new, kept in zip((a, b, x1, x2, f1, f2), old)
-            )
-        live = b - a > 1.0e-6
     omegas = 0.5 * (a + b)
     return omegas, probe(omegas[:, None])[:, 0]
 

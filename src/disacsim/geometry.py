@@ -21,6 +21,12 @@ sphere bijectively apart from the poles el = +-pi/2.
 The two direction cosines seen by the element axes are u_x = cos(el)sin(az)
 and u_y = sin(el); these are what the array phase ramps and the beamspace
 estimator actually resolve.
+
+Each direction rule lives here once, in row form over (k, 3) arrays:
+:func:`row_norms`, :func:`direction_angles`, :func:`fold_forward_rows` and
+:meth:`FoiBounds.contains_angles`. The per-vector
+:func:`angles_from_direction`, :func:`fold_forward` and
+:meth:`FoiBounds.contains` are one-row uses of them.
 """
 
 from dataclasses import dataclass
@@ -74,18 +80,46 @@ def direction_from_angles(angles: AnglePair) -> np.ndarray:
     )
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Length of each row of a (k, 3) array, bit for bit ``np.linalg.norm(row)``.
+
+    Each stacked (1, 3) @ (3, 1) product is the same BLAS dot that
+    ``np.linalg.norm`` takes of one vector; ``np.linalg.norm(v, axis=1)``
+    sums in another order and differs from it in the last bit on about
+    one row in ten.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def direction_angles(u) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, elevation) arrays of the rows of a (k, 3) array of local
+    directions; rows need not be unit length.
+
+    This is the one angle rule of the package. A row that is not finite
+    or is zero has no direction: the first such row raises the ValueError
+    that :func:`angles_from_direction` raises for it alone.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 3:
+        raise ValueError(f"expected (k, 3) directions, got shape {u.shape}")
+    n = row_norms(u)
+    if not (np.isfinite(n) & (n > 0.0)).all():  # only then can a row be refused
+        refused = ~np.isfinite(u).all(axis=1) | (n == 0.0)
+        if refused.any():
+            as_vec3(u[refused.argmax()])
+            raise ValueError("zero direction vector")
+    u = u / n[:, None]
+    # np.clip's rule, spelled out: the same values at half its cost
+    el = np.arcsin(np.minimum(np.maximum(u[:, 1], -1.0), 1.0))
+    az = np.arctan2(u[:, 0], u[:, 2])
+    az[az <= -np.pi] = np.pi
+    return az, el
+
+
 def angles_from_direction(u) -> AnglePair:
     """Inverse of :func:`direction_from_angles` (input need not be unit length)."""
-    u = as_vec3(u)
-    n = np.linalg.norm(u)
-    if n == 0.0:
-        raise ValueError("zero direction vector")
-    u = u / n
-    el = float(np.arcsin(np.clip(u[1], -1.0, 1.0)))
-    az = float(np.arctan2(u[0], u[2]))
-    if az <= -np.pi:
-        az = np.pi
-    return AnglePair(azimuth=az, elevation=el)
+    az, el = direction_angles(as_vec3(u)[None])
+    return AnglePair(azimuth=float(az[0]), elevation=float(el[0]))
 
 
 def direction_cosines(angles: AnglePair) -> tuple[float, float]:
@@ -140,9 +174,12 @@ class FoiBounds:
 
     def contains(self, angles: AnglePair, margin: float = 0.0) -> bool:
         """Closed-interval test with an optional widening margin."""
-        return (
-            abs(angles.azimuth) <= self.azimuth + margin
-            and abs(angles.elevation) <= self.elevation + margin
+        return bool(self.contains_angles(angles.azimuth, angles.elevation, margin))
+
+    def contains_angles(self, azimuth, elevation, margin: float = 0.0):
+        """:meth:`contains` elementwise over azimuth and elevation arrays."""
+        return (abs(azimuth) <= self.azimuth + margin) & (
+            abs(elevation) <= self.elevation + margin
         )
 
 
@@ -153,6 +190,11 @@ def fold_forward(u) -> np.ndarray:
     source behind the panel is indistinguishable from its forward mirror
     image. This gives the direction the array would report.
     """
-    u = as_vec3(u).copy()
-    u[2] = abs(u[2])
+    return fold_forward_rows(as_vec3(u)[None])[0]
+
+
+def fold_forward_rows(u) -> np.ndarray:
+    """:func:`fold_forward` of each row of a (k, 3) array, as a new array."""
+    u = np.array(u, dtype=float)
+    u[:, 2] = np.abs(u[:, 2])
     return u

@@ -7,7 +7,10 @@ Stages, in order:
    All delays are shifted into one period anchored just below the
    strongest path.
 2. identify_los -- pick the direct path (minimum delay among the
-   strongest quartile) and flag ambiguous calls.
+   strongest quartile) and flag ambiguous calls. In beamspace the direct
+   path is often only the 2nd to 4th strongest, and on the stock
+   50-trial sweep this pick is wrong on 22 of 100 receivers (ROADMAP
+   item 1).
 3. clutter_filter -- drop paths arriving from outside the receiver's
    field of interest; the direct path is exempt.
 4. localize_single -- per-receiver weighted least squares turning each
@@ -65,15 +68,14 @@ class LocalizationError(RuntimeError):
 def unwrap_delays(paths: list[EstimatedPath], delay_period: float) -> list[EstimatedPath]:
     """Shift all delays into one period anchored at the strongest path.
 
-    The strongest path is usually the direct one, and every other path
-    of the same receiver arrives later (modulo clock wrap). Delays are
-    mapped into [t_ref - slack, t_ref - slack + period), which keeps the
-    intra-receiver delay structure intact as long as true delays span
-    less than one period and lie within [-slack, period - slack) of the
-    anchor's true delay. The slack is UNWRAP_SLACK_FRACTION (a quarter)
-    of the period, which also survives the occasional case where a
-    strong close-in reflection beats the direct path in gain while
-    trailing it in delay.
+    Delays are mapped into [t_ref - slack, t_ref - slack + period), which
+    keeps the intra-receiver delay structure intact as long as true delays
+    span less than one period and lie within [-slack, period - slack) of
+    the anchor's true delay. The slack is UNWRAP_SLACK_FRACTION (a quarter)
+    of the period. The anchor is often not the direct path: in beamspace
+    the direct path is often only the 2nd to 4th strongest (ROADMAP item
+    1), and when it precedes the anchor by more than the slack it wraps to
+    the end of the period.
     """
     if not paths:
         return []
@@ -93,10 +95,12 @@ def identify_los(
     order statistic (lower interpolation, so the cut is inclusive);
     among them the minimum delay wins. The direct path always precedes
     any bounce of the same receiver in true delay, so it wins whenever
-    it clears the gain cut; the inclusive cut matters because coherently
-    merged scatterers can out-gain it. Returns (index, ambiguous) where
-    ambiguous means a second candidate lies within one delay-resolution
-    cell of the winner.
+    it clears the gain cut and the unwrap kept it first. It often does
+    not clear the cut: beamspace gains mix beam patterns into |gain|, and
+    on the stock 50-trial sweep this pick is wrong on 22 of 100
+    receivers, 4 of them flagged ambiguous (ROADMAP item 1). Returns
+    (index, ambiguous) where ambiguous means a second candidate lies
+    within one delay-resolution cell of the winner.
     """
     if not paths:
         raise LosIdentificationError("no paths to choose a direct path from")

@@ -21,11 +21,12 @@ from .geometry import (
     BORESIGHT_ALONG_X,
     AnglePair,
     FoiBounds,
-    angles_from_direction,
     as_vec3,
     check_rotation,
+    direction_angles,
     direction_cosines,
-    fold_forward,
+    fold_forward_rows,
+    row_norms,
 )
 
 logger = logging.getLogger(__name__)
@@ -284,41 +285,6 @@ def axis_responses(angles: AnglePair, geom: UpaGeometry) -> tuple[np.ndarray, np
     return phase_ramp(scale * ux, geom.n_x), phase_ramp(scale * uy, geom.n_y)
 
 
-def _local_angles(direction_global, orientation) -> AnglePair:
-    return angles_from_direction(orientation.T @ as_vec3(direction_global))
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Length of each row of a (k, 3) array, bit for bit ``np.linalg.norm(row)``.
-
-    Each stacked (1, 3) @ (3, 1) product is the same BLAS dot that
-    ``np.linalg.norm`` takes of one vector; ``np.linalg.norm(v, axis=1)``
-    sums in another order and differs from it in the last bit on about
-    one row in ten.
-    """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def _row_angles(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(azimuth, elevation) arrays of the rows of a (k, 3) array of local
-    directions, each bit for bit :func:`angles_from_direction` of its row.
-
-    Returns None when a row is not finite or is zero, which
-    ``angles_from_direction`` refuses; the caller then runs the
-    per-vector test so that it raises its own error.
-    """
-    if not np.isfinite(u).all():
-        return None
-    n = _row_norms(u)
-    if not n.all():
-        return None
-    u = u / n[:, None]
-    el = np.arcsin(np.clip(u[:, 1], -1.0, 1.0))
-    az = np.arctan2(u[:, 0], u[:, 2])
-    az[az <= -np.pi] = np.pi
-    return az, el
-
-
 def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     """Exact multipath parameters for one receiver.
 
@@ -334,12 +300,12 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     diagonal (ROADMAP item 2 gives each index its own key word, which
     moves every canonical digest).
 
-    The bounced paths are computed together, as arrays over all scatter
-    points, and equal a point-by-point computation bit for bit (one phase
-    draw per path, in path order, from the same stream). A scatter point
-    that is not finite, or sits on the receiver or the transmitter, raises
-    the ValueError of :func:`angles_from_direction` for the first such
-    point.
+    All paths are computed together, as arrays with one row per path, and
+    equal a path-by-path computation bit for bit (one phase draw per path,
+    in path order, from the same stream). A scatter point that is not
+    finite, or sits on the receiver or the transmitter, raises the
+    ValueError of :func:`geometry.angles_from_direction` for the first such
+    point, its arrival direction checked before its departure direction.
 
     Returns
     -------
@@ -353,59 +319,52 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     rng = np.random.Generator(
         np.random.Philox(key=[scene.phase_seed + rx_id, _STREAM_PATH_PHASE])
     )
-
-    # Direct path. AoD points at the receiver, AoA back at the transmitter.
-    d_los = np.linalg.norm(rx.position - tx)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    paths = [
-        PathRecord(
-            gain=complex(lam / (4.0 * np.pi * d_los) * np.exp(1j * phase)),
-            delay=d_los / scene.speed_of_light + rx.timing_offset,
-            aoa=_local_angles(tx - rx.position, rx.orientation),
-            aod=_local_angles(rx.position - tx, BORESIGHT_ALONG_X),
-            label=LABEL_LOS,
-        )
-    ]
-
-    # Bounced paths, one row per scatter point.
     points = np.concatenate(
         [t.scatter_points for t in scene.targets]
         + [np.reshape([c.position for c in scene.clutter], (-1, 3))]
     )
     reflectivity = np.concatenate(
-        [t.reflectivities for t in scene.targets] + [[c.reflectivity for c in scene.clutter]]
+        [[1.0]]  # the direct path: free-space spread alone
+        + [t.reflectivities for t in scene.targets]
+        + [[c.reflectivity for c in scene.clutter]]
     )
-    tags = [(LABEL_TARGET, t.target_id, i) for t in scene.targets
-            for i in range(len(t.scatter_points))]
+    tags = [(LABEL_LOS, None, None)]
+    tags += [(LABEL_TARGET, t.target_id, i) for t in scene.targets
+             for i in range(len(t.scatter_points))]
     tags += [(LABEL_CLUTTER, None, None)] * len(scene.clutter)
 
-    from_tx = points - tx
-    from_rx = points - rx.position  # its norms are those of rx - point, bit for bit
-    aoa = _row_angles((rx.orientation.T @ from_rx[:, :, None])[:, :, 0])
-    aod = _row_angles((BORESIGHT_ALONG_X.T @ from_tx[:, :, None])[:, :, 0])
-    if aoa is None or aod is None:
-        for p in points:  # raises at the first point the per-point path refuses
-            _local_angles(p - rx.position, rx.orientation)
-            _local_angles(p - tx, BORESIGHT_ALONG_X)
-    hops = _row_norms(from_tx) + _row_norms(from_rx)
+    # One row per path: the direct path departs toward the receiver and
+    # arrives from the transmitter, a bounced one departs toward its
+    # scatter point and arrives from it.
+    from_tx = np.concatenate([[rx.position], points]) - tx
+    from_rx = np.concatenate([[tx], points]) - rx.position  # norms of rx - point, bit for bit
+    hops = row_norms(from_tx)
+    hops[1:] += row_norms(from_rx[1:])  # a bounce adds its second hop
+    # each path's arrival row, then its departure row, in its own panel
+    # frame: (paths, 2, 3) -> (2 * paths, 3); transposed views laid out as
+    # each orientation.T, so the batched product runs its BLAS kernel
+    axes = np.stack([rx.orientation, BORESIGHT_ALONG_X]).transpose(0, 2, 1)
+    az, el = direction_angles(
+        (axes @ np.stack([from_rx, from_tx], axis=1)[..., None]).reshape(-1, 3)
+    )
     amp = reflectivity * lam / (4.0 * np.pi * hops)
-    gains = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(points)))
+    gains = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(hops)))
     delays = hops / scene.speed_of_light + rx.timing_offset
-    for (label, target_id, point_index), gain, delay, az_a, el_a, az_d, el_d in zip(
-        tags, gains.tolist(), delays, *(x.tolist() for x in (*aoa, *aod))
-    ):
-        paths.append(
-            PathRecord(
-                gain=gain,
-                delay=delay,
-                aoa=AnglePair(az_a, el_a),
-                aod=AnglePair(az_d, el_d),
-                label=label,
-                target_id=target_id,
-                point_index=point_index,
-            )
+    return [
+        PathRecord(
+            gain=gain,
+            delay=delay,
+            aoa=AnglePair(az_a, el_a),
+            aod=AnglePair(az_d, el_d),
+            label=label,
+            target_id=target_id,
+            point_index=point_index,
         )
-    return paths
+        for (label, target_id, point_index), gain, delay, az_a, el_a, az_d, el_d in zip(
+            tags, gains.tolist(), delays,
+            *(x.tolist() for x in (az[0::2], el[0::2], az[1::2], el[1::2])),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +411,11 @@ class SceneConfig:
     foi: FoiBounds = DEFAULT_FOI
     foi_margin: float = np.deg2rad(5.0)
     target_reflectivity_range: tuple[float, float] = (0.5, 2.0)
-    # clutter stays at or below 1: a single bounce with reflectivity <= 1
-    # can never out-gain the direct path (triangle inequality), which the
-    # direct-path identification leans on
+    # clutter stays at or below 1, so a single bounce never out-gains the
+    # direct path in element-space amplitude (triangle inequality); the
+    # beamspace |gain| that the direct-path pick ranks mixes in the beam
+    # patterns, and there the direct path is often only the 2nd to 4th
+    # strongest (ROADMAP item 1)
     clutter_reflectivity_range: tuple[float, float] = (0.3, 1.0)
     max_attempts: int = 2000
 
@@ -495,12 +456,6 @@ def _sample_box(rng, box) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1])
 
 
-def _folded_in_foi(point, rx_position, orientation, foi, margin) -> bool:
-    u_local = orientation.T @ (as_vec3(point) - rx_position)
-    angles = angles_from_direction(fold_forward(u_local))
-    return foi.contains(angles, margin)
-
-
 def random_scene(config: SceneConfig, seed: int) -> Scene:
     """Draw a scene honoring the separation and field-of-interest rules.
 
@@ -512,7 +467,10 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
 
     Candidates are drawn one at a time; each is tested against all points
     already placed, and against all receivers' fields of interest, as
-    arrays, with the same outcome bit for bit as a test point by point.
+    arrays, with the same outcome bit for bit as a test point by point. A
+    clutter candidate on a receiver (possible only with
+    ``min_separation_m <= 0``) has no direction from it and raises the
+    ValueError of :func:`geometry.angles_from_direction`.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     cfg = config
@@ -521,7 +479,7 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
         existing = np.array(existing)
         for _ in range(cfg.max_attempts):
             cand = _sample_box(rng, box)
-            if (_row_norms(cand - existing) < separation).any():
+            if (row_norms(cand - existing) < separation).any():
                 continue
             if extra_ok is not None and not extra_ok(cand):
                 continue
@@ -542,7 +500,7 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
     target_centers = []
     for _ in range(cfg.num_targets):
         centers = np.reshape(target_centers, (-1, 3))
-        sep_ok = lambda c: not (_row_norms(c - centers) < cfg.target_min_separation_m).any()
+        sep_ok = lambda c: not (row_norms(c - centers) < cfg.target_min_separation_m).any()
         p = place(cfg.target_box, taken, cfg.min_separation_m, extra_ok=sep_ok, what="target")
         target_centers.append(p)
         taken.append(p)
@@ -581,20 +539,8 @@ def random_scene(config: SceneConfig, seed: int) -> Scene:
         """Whether cand's forward-folded direction falls inside the FoI
         (widened by margin) of at least one receiver."""
         local = (rx_axes @ (cand - rx_at)[:, :, None])[:, :, 0]
-        local[:, 2] = np.abs(local[:, 2])
-        angles = _row_angles(local)
-        if angles is None:
-            # the per-receiver test raises its own error, unless a receiver
-            # before the refused one already holds cand
-            return any(
-                _folded_in_foi(cand, rx.position, rx.orientation, cfg.foi, margin)
-                for rx in receivers
-            )
-        az, el = angles
-        return bool(
-            ((np.abs(az) <= cfg.foi.azimuth + margin)
-             & (np.abs(el) <= cfg.foi.elevation + margin)).any()
-        )
+        az, el = direction_angles(fold_forward_rows(local))
+        return bool(cfg.foi.contains_angles(az, el, margin).any())
 
     num_inside = int(round(cfg.clutter_in_foi_fraction * cfg.num_clutter))
     clutter = []

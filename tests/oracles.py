@@ -18,7 +18,7 @@ from disacsim.fusion import (
     LosMeasurement,
     PathMeasurement,
 )
-from disacsim.geometry import BORESIGHT_ALONG_X, angles_from_direction, as_vec3
+from disacsim.geometry import BORESIGHT_ALONG_X, AnglePair, angles_from_direction, as_vec3
 from disacsim.scene import (
     _STREAM_PATH_PHASE,
     LABEL_CLUTTER,
@@ -303,6 +303,21 @@ def exact_paths(scene, rx_id):
     ]
 
 
+def reference_angles_from_direction(u):
+    """``geometry.angles_from_direction`` for one vector, written per vector:
+    its 1-D norm and scalar arcsin/arctan2, with its errors."""
+    u = as_vec3(u)
+    n = np.linalg.norm(u)
+    if n == 0.0:
+        raise ValueError("zero direction vector")
+    u = u / n
+    el = float(np.arcsin(np.clip(u[1], -1.0, 1.0)))
+    az = float(np.arctan2(u[0], u[2]))
+    if az <= -np.pi:
+        az = np.pi
+    return AnglePair(azimuth=az, elevation=el)
+
+
 def reference_ground_truth_paths(scene, rx_id):
     """``generate_ground_truth_paths`` one path at a time.
 
@@ -318,7 +333,7 @@ def reference_ground_truth_paths(scene, rx_id):
     )
 
     def local(direction, orientation):
-        return angles_from_direction(orientation.T @ as_vec3(direction))
+        return reference_angles_from_direction(orientation.T @ as_vec3(direction))
 
     d_los = np.linalg.norm(rx.position - tx)
     phase = rng.uniform(0.0, 2.0 * np.pi)

@@ -227,6 +227,25 @@ def test_simulate_refuses_receivers_that_could_sit_underground(tmp_path, capsys)
     assert not out_dir.exists()
 
 
+SPOT = [[20.0, 20.0], [0.0, 0.0], [1.5, 1.5]]
+
+
+@pytest.mark.parametrize("scene, message", [
+    # the clutter candidate sits on the receiver, whose direction to it is zero
+    ({"num_receivers": 1, "num_targets": 0, "num_clutter": 1, "min_separation_m": 0,
+      "ue_box": SPOT, "clutter_box": SPOT}, "zero direction vector"),
+    # a negative separation lets both receivers share the point box
+    ({"num_receivers": 2, "num_targets": 0, "num_clutter": 0, "min_separation_m": -1,
+      "ue_box": SPOT}, "node/target positions must be distinct"),
+], ids=["clutter-on-receiver", "receivers-coincide"])
+def test_simulate_refuses_a_scene_the_model_refuses(tmp_path, capsys, scene, message):
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, scene=scene),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: scene: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_estimate_rank_zero_returns_no_paths(tmp_path, capsys):
     prefix = small_tensor(tmp_path)
     assert main(["estimate", "--tensor", prefix, "--rank", "0"]) == 0

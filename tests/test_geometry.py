@@ -9,10 +9,13 @@ from disacsim.geometry import (
     angles_from_direction,
     as_vec3,
     check_rotation,
+    direction_angles,
     direction_cosines,
     direction_from_angles,
     fold_forward,
+    fold_forward_rows,
 )
+from oracles import reference_angles_from_direction
 
 
 def test_direction_convention_literal():
@@ -50,6 +53,54 @@ def test_angles_from_direction_accepts_unnormalized():
 def test_angles_from_direction_zero_vector():
     with pytest.raises(ValueError):
         angles_from_direction([0.0, 0.0, 0.0])
+
+
+def _rows_near(az, el, rng, count=200, spread=1e-9):
+    """Unnormalised directions scattered about (az, el), of random length."""
+    pair = np.array([az, el]) + rng.uniform(-spread, spread, size=(count, 2))
+    u = np.stack([np.cos(pair[:, 1]) * np.sin(pair[:, 0]), np.sin(pair[:, 1]),
+                  np.cos(pair[:, 1]) * np.cos(pair[:, 0])], axis=1)
+    return u * rng.uniform(1e-3, 1e3, size=(count, 1))
+
+
+@pytest.mark.parametrize("case", ["random", "az-near-minus-pi", "north-pole", "south-pole"])
+def test_direction_angles_equal_the_per_vector_reference(case):
+    rng = np.random.default_rng(11)
+    rows = {
+        "random": lambda: rng.normal(size=(500, 3)) * rng.uniform(1e-3, 1e3, size=(500, 1)),
+        # both signs of x about az = -pi, and the exact -pi of a zero x
+        "az-near-minus-pi": lambda: np.concatenate(
+            [_rows_near(-np.pi, 0.2, rng), _rows_near(np.pi, -0.4, rng),
+             [[-0.0, 0.3, -1.0], [0.0, 0.3, -1.0], [-1e-300, 0.0, -2.0]]]),
+        # a squared norm in the subnormal range puts |u_y| above 1, which the
+        # clip holds at the pole
+        "north-pole": lambda: np.concatenate(
+            [_rows_near(0.7, np.pi / 2, rng),
+             [[0.0, 3.0, 0.0], [1e-17, 1.0, -1e-17], [0.0, 1e-158, 0.0]]]),
+        "south-pole": lambda: np.concatenate(
+            [_rows_near(-2.5, -np.pi / 2, rng, spread=1e-6), [[0.0, -1e-158, 0.0]]]),
+    }[case]()
+    az, el = direction_angles(rows)
+    for i, row in enumerate(rows):
+        ref = reference_angles_from_direction(row)
+        assert (az[i], el[i]) == (ref.azimuth, ref.elevation)
+        assert angles_from_direction(row) == ref
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]], "^zero direction vector$"),
+    ([[1.0, 0.0, 0.0], [np.inf, 0.0, 1.0], [0.0, 0.0, 0.0]], "^vector components must be finite$"),
+    ([[1e-200, 0.0, 0.0]], "^zero direction vector$"),  # its squared norm underflows
+    ([1.0, 0.0, 0.0], r"^expected \(k, 3\) directions, got shape \(3,\)$"),
+])
+def test_direction_angles_refuse_the_first_refused_row(rows, message):
+    with pytest.raises(ValueError, match=message):
+        direction_angles(rows)
+
+
+def test_direction_angles_of_no_rows_are_empty():
+    az, el = direction_angles(np.zeros((0, 3)))
+    assert az.shape == el.shape == (0,)
 
 
 def test_angle_pair_validation():
@@ -137,3 +188,6 @@ def test_foi_bounds_validation():
 def test_fold_forward():
     np.testing.assert_allclose(fold_forward([0.3, -0.4, -0.5]), [0.3, -0.4, 0.5])
     np.testing.assert_allclose(fold_forward([0.3, -0.4, 0.5]), [0.3, -0.4, 0.5])
+    rows = np.array([[0.3, -0.4, -0.5], [0.3, -0.4, 0.5]])
+    np.testing.assert_array_equal(fold_forward_rows(rows), [[0.3, -0.4, 0.5]] * 2)
+    assert rows[0, 2] == -0.5  # the input is left as it was

@@ -1,6 +1,7 @@
 """The package's modules import each other at module level only, its
-public namespace holds what ``__all__`` promises, and it starts processes
-through multiprocessing alone.
+public namespace holds what ``__all__`` promises, it starts processes
+through multiprocessing alone, and only ``geometry`` turns directions into
+angles.
 
 A relative import inside a function body hides a dependency from the
 module header, usually to dodge an import cycle that the layering should
@@ -17,6 +18,9 @@ PACKAGE_DIR = Path(disacsim.__file__).resolve().parent
 
 # process calls that multiprocessing makes on the package's behalf
 HAND_WRITTEN_OS_CALLS = {"fork", "pipe", "waitpid", "kill"}
+
+# the inverse trigonometry of the angle rule, which geometry owns
+ANGLE_RULE_FUNCTIONS = {"arcsin", "arctan2"}
 
 
 def function_local_relative_imports(source: str) -> list[tuple[str, int]]:
@@ -102,3 +106,36 @@ def test_processes_start_through_multiprocessing_only():
         for what, line in hand_written_process_code(path.read_text())
     ]
     assert offenders == []
+
+
+def angle_rule_uses(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every arcsin/arctan2 attribute, name or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ANGLE_RULE_FUNCTIONS:
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Name) and node.id in ANGLE_RULE_FUNCTIONS:
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(a.name, node.lineno) for a in node.names if a.name in ANGLE_RULE_FUNCTIONS]
+    return found
+
+
+def test_detector_sees_angle_rule_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy import arctan2 as bearing\n"
+        "def f(u):\n"
+        "    return np.arcsin(u[1]), arctan2(u[0], u[2]), np.arccos(u[2])\n"
+    )
+    assert angle_rule_uses(source) == [("arctan2", 2), ("arcsin", 4), ("arctan2", 4)]
+
+
+def test_only_geometry_turns_directions_into_angles():
+    offenders = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "geometry.py"
+        for name, line in angle_rule_uses(path.read_text())
+    ]
+    assert offenders == []
+    assert angle_rule_uses((PACKAGE_DIR / "geometry.py").read_text())

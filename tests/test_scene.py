@@ -339,8 +339,16 @@ def test_paths_refuse_a_scatter_point_on_the_receiver_or_not_finite():
     spoiled = _target(0, [[30, 0, 1], [31, 0, 1]])
     spoiled.scatter_points = np.array([[30, 0, 1], [np.nan, 0, 1]])
     nan = _scene_of(receivers=[_rx(0, [20, 0, 1])], targets=[spoiled])
+    # a point on the transmitter: its departure direction is the zero one,
+    # and it is refused before a later NaN point
+    at_tx = _scene_of(receivers=[_rx(0, [20, 0, 1])], targets=[_target(0, [TX_AT, [2, 0, 13]])])
+    tx_then_nan = _target(0, [[30, 0, 1], [31, 0, 1], [32, 0, 1]])
+    tx_then_nan.scatter_points = np.array([[30, 0, 1], TX_AT, [np.nan, 0, 1]])
+    tx_first = _scene_of(receivers=[_rx(0, [20, 0, 1])], targets=[tx_then_nan])
     for scene, message in ((at_rx, "^zero direction vector$"),
-                           (nan, "^vector components must be finite$")):
+                           (nan, "^vector components must be finite$"),
+                           (at_tx, "^zero direction vector$"),
+                           (tx_first, "^zero direction vector$")):
         with pytest.raises(ValueError, match=message):
             reference_ground_truth_paths(scene, 0)
         with pytest.raises(ValueError, match=message):
