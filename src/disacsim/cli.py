@@ -5,9 +5,11 @@
     disacsim e2e        run a single end-to-end trial
     disacsim montecarlo run a sweep and write results + CSV
 
-Exit status: 0 on success, 2 on a malformed configuration, 1 when
-``estimate`` cannot recover paths from a well-formed tensor (an
-``estimation: <reason>`` line on stderr).
+Exit status: 0 on success, 2 on a malformed configuration (for
+``simulate`` and ``e2e`` also a scene that cannot be drawn, for
+``montecarlo`` a sweep none of whose scenes can), 1 when ``estimate``
+cannot recover paths from a well-formed tensor (an ``estimation:
+<reason>`` line on stderr).
 """
 
 import argparse
@@ -62,14 +64,22 @@ def _path_to_dict(p: EstimatedPath) -> dict:
     }
 
 
+def _first_scene(config: ScenarioConfig, trials: int = 1):
+    """The scene of the first of the config's first ``trials`` trials that
+    can be drawn. A recipe none of them meets, or whose draws the scene
+    model refuses (points that coincide), is a config fault: the first's."""
+    refusal = None
+    for trial in range(trials):
+        try:
+            return random_scene(config.scene, config.seed + trial)
+        except (SceneSamplingError, ValueError) as exc:
+            refusal = refusal or exc
+    raise ConfigError(f"scene: {refusal}") from refusal
+
+
 def cmd_simulate(args) -> int:
     config = _scenario(args)
-    try:
-        scene = random_scene(config.scene, config.seed)
-    except (SceneSamplingError, ValueError) as exc:
-        # a recipe that cannot be met, or whose draw the scene model
-        # refuses (points that coincide): a config fault
-        raise ConfigError(f"scene: {exc}") from exc
+    scene = _first_scene(config)
     os.makedirs(args.out_dir, exist_ok=True)
     scene_path = os.path.join(args.out_dir, "scene.json")
     write_scene(scene, scene_path)
@@ -122,7 +132,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_e2e(args) -> int:
-    result = run_trial(_scenario(args), 0)
+    config = _scenario(args)
+    _first_scene(config)  # run_trial would only record it as the trial's failure
+    result = run_trial(config, 0)
     text = json.dumps(result.canonical_dict(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -134,6 +146,7 @@ def cmd_e2e(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     config = _scenario(args)
+    _first_scene(config, config.trials)  # a trial whose scene alone fails is recorded
     mc = run_montecarlo(config, progress=True)
     if args.out_json:
         write_results(mc, args.out_json)

@@ -350,9 +350,8 @@ def _solve_by_blocks(aw, bw, blocks):
         r = np.linalg.qr(system[rows[:, :, None], cols[:, None, :]], mode="r")
         eliminated.append((local, r[:, :q, :q], r[:, :q, q:-1], r[:, :q, -1]))
         reduced.append(r[:, q:, q:].reshape(-1, n_shared + 1))
+    # with rows >= unknowns, the reduced system has at least n_shared rows
     r = np.linalg.qr(np.concatenate(reduced), mode="r")
-    if r.shape[0] < n_shared:
-        return None
     try:
         r_shared_inv = np.linalg.inv(r[:n_shared, :n_shared])
         r_local_invs = [np.linalg.inv(r_local) for _, r_local, _, _ in eliminated]

@@ -3,12 +3,13 @@
 A YAML config describes one scenario. Its mandatory ``schema`` field pins
 the config format version so stale files fail loudly instead of being
 misread. Every trial draws a fresh scene (seed = base seed + trial
-index), synthesizes one beamspace tensor per receiver, runs the shared
-estimation chain once (the receivers side by side, in processes started
-through multiprocessing's fork context, when BLAS leaves cores free; see
-run_trial), and then evaluates each mode of ScenarioConfig.modes, parsed
-once from the config (a mode listed twice is refused), on the shared
-per-receiver results; each is reported under its canonical Mode.name:
+index), runs each receiver's chain once (beamspace tensor synthesis,
+estimation and the per-receiver pipeline; the receivers side by side,
+in processes started through multiprocessing's fork context that hand
+back plain data only, when BLAS leaves cores free; see run_trial), and
+then evaluates each mode of ScenarioConfig.modes, parsed once from the
+config (a mode listed twice is refused), on the shared per-receiver
+results; each is reported under its canonical Mode.name:
 
     disac       all receivers pooled, gain-weighted fusion
     disac-ls    same, unit weights in every least-squares solve
@@ -442,7 +443,7 @@ class TrialResult:
     outcomes: dict[str, ModeOutcome]
     num_paths: dict[int, int]  # receiver id -> estimated path count
     skipped_receivers: dict[int, str]  # receiver id -> stage: reason
-    runtimes: dict[str, float] = field(default_factory=dict)
+    runtimes: dict[str, float] = field(default_factory=dict)  # s: scene, receivers, fusion
 
     def canonical_dict(self) -> dict:
         """Deterministic serialization; runtimes deliberately excluded."""
@@ -551,38 +552,40 @@ def _receiver_workers(receivers: int) -> int:
     return max(1, min(receivers, cpus // blas_threads))
 
 
-def _estimate_receiver(config: ScenarioConfig, scene: Scene, rx_id: int,
-                       seed: int) -> tuple[str, object]:
-    """Synthesize and estimate one receiver: ``(stage, paths or the exception)``."""
+def _receiver_chain(config: ScenarioConfig, scene: Scene, rx_id: int, seed: int,
+                    weightings: list[str]) -> tuple[str, str | None, int | None, dict]:
+    """Receiver ``rx_id``'s synthesis, estimation and process_receiver, as plain
+    data whatever fails: (the last stage started, "<stage>: <reason>" or None,
+    the path count or None, the SingleReceiverResult of each weighting)."""
     stage = "synthesis"
     try:
         tensor = config.receiver_tensor(scene, rx_id, seed)
         stage = "estimation"
-        return stage, estimate_paths(
-            tensor,
-            rank="auto",
-            opts=replace(config.als, seed=receiver_seed(seed, rx_id)),
-            max_rank=config.max_rank,
-        )
+        paths = estimate_paths(tensor, rank="auto", max_rank=config.max_rank,
+                               opts=replace(config.als, seed=receiver_seed(seed, rx_id)))
     except Exception as exc:
-        return stage, exc
+        return stage, f"{stage}: {exc}", None, {}
+    results, reason = process_receiver(paths, rx_id, scene, config.ofdm, config.scene.foi,
+                                       weightings)
+    return "pipeline", reason, len(paths), results
 
 
-def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
-                        seed: int) -> list[tuple[str, object]]:
-    """Each receiver's ``_estimate_receiver`` outcome, in the order of ``rx_ids``.
+def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int], seed: int,
+                        weightings: list[str]) -> list[tuple]:
+    """Each receiver's ``_receiver_chain``, in the order of ``rx_ids``.
 
     With w = _receiver_workers(receivers) > 1, receivers j, j + w, ... go
     to child process j for j = 1 .. w - 1, forked through multiprocessing,
     while this process does receivers 0, w, ...; the children send their
-    outcomes back through one-way pipes. Processes, not threads: ALS holds
-    the GIL between its GEMMs, and on a shared two-core virtual machine
-    two threads passing it back and forth took 1.2-2.4 s per stock trial
-    from run to run, against 0.9-1.05 s for two processes and 1.75-2.1 s
-    one at a time. Receivers whose child could not start, died, or sent
-    an outcome that does not unpickle are done here, so the outcomes are
-    those of the one-at-a-time loop in every case. After the first child
-    that could not start, this process does every receiver of every trial.
+    chains back through one-way pipes, as plain data: no exception object
+    crosses. Processes, not threads: ALS holds the GIL between its GEMMs,
+    and on a shared two-core virtual machine two threads passing it back
+    and forth took 1.2-2.4 s per stock trial from run to run, against
+    0.9-1.05 s for two processes and 1.75-2.1 s one at a time. The
+    receivers of a child that could not start or died before it sent are
+    done here, so the chains are those of the one-at-a-time loop in every
+    case. After the first child that could not start, this process does
+    every receiver of every trial.
     """
     global _no_process_to_spare
     can_fork = "fork" in multiprocessing.get_all_start_methods()
@@ -592,7 +595,8 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
     workers = _receiver_workers(len(rx_ids)) if spare else 1
 
     def run(j):
-        return [_estimate_receiver(config, scene, rx_id, seed) for rx_id in rx_ids[j::workers]]
+        return [_receiver_chain(config, scene, rx_id, seed, weightings)
+                for rx_id in rx_ids[j::workers]]
 
     outcomes = [None] * len(rx_ids)
     children = []
@@ -613,7 +617,7 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
         for j, _, reader in children:
             try:
                 outcomes[j::workers] = reader.recv()
-            except Exception:  # EOFError: the child died; else its outcome did not unpickle
+            except EOFError:  # the child died before it sent
                 outcomes[j::workers] = run(j)
         return outcomes
     except BaseException:
@@ -629,59 +633,48 @@ def _estimate_receivers(config: ScenarioConfig, scene: Scene, rx_ids: list[int],
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialResult:
     """Trial ``trial_index`` of ``config``, shared across the config's modes.
 
-    The receivers' tensors are synthesized and estimated side by side in
+    Each receiver's chain (synthesis, estimation, then process_receiver for
+    every weighting the modes use) runs side by side with the others in
     processes forked through multiprocessing (see _estimate_receivers),
-    which only read the scene and the config (its codebooks included), so
-    nothing but the outcomes is pickled; the outcomes are then taken in
-    receiver order, so the result is the same as estimating them one after
-    the other: the first synthesis failure fails every mode, and an
-    estimation failure skips its receiver.
+    which only read the scene and the config (its codebooks included) and
+    hand back plain data; the chains are taken in receiver order, so the
+    result is the same as running them one after the other: the first
+    synthesis failure fails every mode, and any other failure skips its
+    receiver.
     """
     seed = config.seed + trial_index
     result = TrialResult(
         trial=trial_index, seed=seed, outcomes={}, num_paths={}, skipped_receivers={}
     )
 
-    def fail_all(stage: str, exc: Exception):
+    def fail_all(failure: str):
         for mode in config.modes:
-            result.outcomes[mode.name] = ModeOutcome(mode=mode.name, failure=f"{stage}: {exc}")
-        logger.warning("trial %d failed at %s: %s", trial_index, stage, exc)
+            result.outcomes[mode.name] = ModeOutcome(mode=mode.name, failure=failure)
+        logger.warning("trial %d failed at %s", trial_index, failure)
         return result
 
     t0 = time.perf_counter()
     try:
         scene = random_scene(config.scene, seed)
     except Exception as exc:
-        return fail_all("scene", exc)
+        return fail_all(f"scene: {exc}")
     result.runtimes["scene"] = time.perf_counter() - t0
 
     rx_ids = [rx.node_id for rx in scene.receivers]
-    paths_by_rx: dict[int, list] = {}
-    t0 = time.perf_counter()
-    outcomes = _estimate_receivers(config, scene, rx_ids, seed)
-    for rx_id, (stage, value) in zip(rx_ids, outcomes):
-        if isinstance(value, Exception):
-            if stage == "synthesis":
-                return fail_all(stage, value)
-            result.skipped_receivers[rx_id] = f"{stage}: {value}"
-            continue
-        result.num_paths[rx_id] = len(value)
-        paths_by_rx[rx_id] = value
-    result.runtimes["estimation"] = time.perf_counter() - t0
-
-    # per-receiver pipeline, per weighting actually needed
     weightings = sorted({m.weighting for m in config.modes})
     single: dict[str, dict[int, SingleReceiverResult]] = {w: {} for w in weightings}
     t0 = time.perf_counter()
-    for rx_id, est in paths_by_rx.items():
-        by_weighting, reason = process_receiver(
-            est, rx_id, scene, config.ofdm, config.scene.foi, weightings
-        )
-        for w, res in by_weighting.items():
-            single[w][rx_id] = res
+    chains = _estimate_receivers(config, scene, rx_ids, seed, weightings)
+    for rx_id, (stage, reason, num_paths, by_weighting) in zip(rx_ids, chains):
+        if stage == "synthesis":
+            return fail_all(reason)
+        if num_paths is not None:
+            result.num_paths[rx_id] = num_paths
         if reason is not None:
             result.skipped_receivers[rx_id] = reason
-    result.runtimes["pipeline"] = time.perf_counter() - t0
+        for w, res in by_weighting.items():
+            single[w][rx_id] = res
+    result.runtimes["receivers"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for mode in config.modes:
@@ -689,27 +682,17 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialResult:
         wanted = sorted(usable) if mode.ue_id is None else [mode.ue_id]
         results = [usable[n] for n in wanted if n in usable]
         if not results:
-            result.outcomes[mode.name] = ModeOutcome(
-                mode=mode.name,
-                failure="pipeline: no usable receivers for this mode",
-            )
+            failure = "pipeline: no usable receivers for this mode"
+            result.outcomes[mode.name] = ModeOutcome(mode=mode.name, failure=failure)
             continue
         try:
             clusters, _, _ = build_associations(
-                results, eps=config.eps_m, min_points=config.min_points
-            )
+                results, eps=config.eps_m, min_points=config.min_points)
             los = {r.ue_id: r.los for r in results}
-            estimate = run_fusion(
-                clusters,
-                los,
-                scene.tx.position,
-                scene.speed_of_light,
-                weighting=mode.weighting,
-            )
+            estimate = run_fusion(clusters, los, scene.tx.position, scene.speed_of_light,
+                                  weighting=mode.weighting)
         except Exception as exc:
-            result.outcomes[mode.name] = ModeOutcome(
-                mode=mode.name, failure=f"fusion: {exc}"
-            )
+            result.outcomes[mode.name] = ModeOutcome(mode=mode.name, failure=f"fusion: {exc}")
             continue
         # clock offsets are identifiable modulo the delay period
         period = config.ofdm.delay_period
@@ -738,7 +721,7 @@ class MonteCarloResult:
         out = {}
         for mode in self.modes:
             ue_errs, to_errs, tgt_errs = [], [], []
-            detected = total_targets = failed = 0
+            detected = total_targets = false_alarms = failed = 0
             for tr in self.trials:
                 oc = tr.outcomes.get(mode)
                 if oc is None:
@@ -751,6 +734,7 @@ class MonteCarloResult:
                 tgt_errs.extend(oc.target_errors.values())
                 detected += sum(oc.target_detected.values())
                 total_targets += len(oc.target_detected)
+                false_alarms += oc.num_false_alarms
             out[mode] = {
                 "trials": len(self.trials),
                 "failed_trials": failed,
@@ -762,6 +746,7 @@ class MonteCarloResult:
                 "targets_detected": detected,
                 "targets_total": total_targets,
                 "detection_rate": (detected / total_targets) if total_targets else None,
+                "false_alarms": false_alarms,
             }
         return out
 

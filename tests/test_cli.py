@@ -246,6 +246,41 @@ def test_simulate_refuses_a_scene_the_model_refuses(tmp_path, capsys, scene, mes
     assert not out_dir.exists()
 
 
+UNDRAWABLE = {"num_receivers": 1, "num_targets": 0, "num_clutter": 1, "min_separation_m": 0,
+              "ue_box": SPOT, "clutter_box": SPOT}
+
+
+def test_e2e_refuses_a_scene_the_model_refuses(tmp_path, capsys):
+    out = tmp_path / "trial.json"
+    assert main(["e2e", "--config", write_config(tmp_path, scene=UNDRAWABLE),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: scene: zero direction vector\n"
+    assert not out.exists()
+
+
+def test_montecarlo_refuses_a_sweep_without_a_drawable_scene(tmp_path, capsys):
+    out_json = tmp_path / "mc.json"
+    assert main(["montecarlo", "--config", write_config(tmp_path, scene=UNDRAWABLE),
+                 "--trials", "2", "--out-json", str(out_json)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: scene: zero direction vector\n"
+    assert captured.out == "" and not out_json.exists()
+
+
+def test_montecarlo_records_the_trials_whose_scene_alone_cannot_be_drawn(tmp_path, capsys):
+    # with 5 attempts per receiver 10 m apart, seed 4's scene cannot be placed and seed 5's can
+    scene = {**MINI["scene"], "min_separation_m": 10, "max_attempts": 5}
+    out_json = tmp_path / "mc.json"
+    assert main(["montecarlo", "--config", write_config(tmp_path, scene=scene, seed=4),
+                 "--trials", "2", "--mode", "disac", "--out-json", str(out_json)]) == 0
+    first, second = json.loads(out_json.read_text())["trials"]
+    assert first["outcomes"]["disac"]["failure"] == (
+        "scene: could not place receiver after 5 attempts; "
+        "check box sizes against separation constraints"
+    )
+    assert second["num_paths"]  # its receivers were estimated
+
+
 def test_estimate_rank_zero_returns_no_paths(tmp_path, capsys):
     prefix = small_tensor(tmp_path)
     assert main(["estimate", "--tensor", prefix, "--rank", "0"]) == 0

@@ -201,6 +201,61 @@ def test_solve_wls_duplicate_column():
         assert refusal.value.dependent_column == expected.value.dependent_column
 
 
+def counting_svd(patch):
+    """Route fusion's SVD solve through a counter; returns the list of its calls."""
+    calls, real = [], fusion._solve_by_svd
+    patch.setattr(fusion, "_solve_by_svd", lambda aw, bw: calls.append(1) or real(aw, bw))
+    return calls
+
+
+def test_a_system_the_bound_refuses_and_the_svd_accepts_takes_the_svd_solution(monkeypatch):
+    # singular values (1, 1, 1/sqrt(7e11)): cond(A^T A) = 7e11 is under the limit, but the
+    # bound ||A||_F^2 ||R^-1||_F^2 = (2 + 1/7e11)(2 + 7e11), about 1.4e12, is over it
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a = u @ np.diag([1.0, 1.0, 1.0 / np.sqrt(7e11)]) @ v.T
+    b = rng.standard_normal(6)
+    calls = counting_svd(monkeypatch)
+    x, residual = solve_wls(a, b, np.ones(6))
+    assert len(calls) == 1
+    x_ref, residual_ref = reference_solve_wls(a, b, np.ones(6))
+    np.testing.assert_array_equal(x, x_ref)
+    assert residual == residual_ref
+
+
+def assert_refused_as_without_blocks(a, b, blocks):
+    with pytest.raises(IllConditionedError) as expected:
+        solve_wls(a, b, np.ones(len(b)))
+    with pytest.raises(IllConditionedError) as blocked:
+        solve_wls(a, b, np.ones(len(b)), blocks)
+    assert str(blocked.value) == str(expected.value)
+    assert blocked.value.dependent_column == expected.value.dependent_column
+    return blocked.value
+
+
+def test_a_block_whose_local_factor_is_exactly_singular_is_refused_by_the_svd(monkeypatch):
+    rng = np.random.default_rng(12)
+    a, b, _ = random_well_conditioned_system(rng, 10, 4)
+    a = np.column_stack([a, np.zeros(10)])  # column 4, local to rows 0-2, is zero: R_k = [0]
+    calls = counting_svd(monkeypatch)
+    assert assert_refused_as_without_blocks(a, b, [(range(0, 3), (4,))]).dependent_column == 4
+    assert len(calls) == 2
+
+
+def test_a_block_with_fewer_rows_than_local_columns_is_left_to_the_svd(monkeypatch):
+    # q local columns that only p < q rows touch are dependent, so the rows
+    # cannot fix them: the solver leaves such a system to the SVD, which
+    # refuses it as without blocks
+    rng = np.random.default_rng(13)
+    a, b, _ = random_well_conditioned_system(rng, 10, 4)
+    a = np.column_stack([a, np.zeros((10, 2))])
+    a[3, 4:] = [1.0, -2.0]
+    calls = counting_svd(monkeypatch)
+    assert_refused_as_without_blocks(a, b, [(range(3, 4), (4, 5))])
+    assert len(calls) == 2
+
+
 def test_solve_wls_duplicated_rows_keep_solution():
     rng = np.random.default_rng(10)
     a, b, _ = random_well_conditioned_system(rng, 8, 3)

@@ -3,11 +3,12 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import shlex
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -672,8 +673,10 @@ def test_an_error_that_cannot_cross_processes_still_skips_its_receiver(
         monkeypatch, four_cpus_one_blas_thread, error):
     cfg = with_modes(mini_config(), "disac")
     real = harness.estimate_paths
+    calls = []  # a child's appends stay in the child
 
     def flaky(tensor, **kwargs):
+        calls.append(kwargs["opts"].seed)
         if kwargs["opts"].seed == receiver_seed(cfg.seed, 1):
             raise error("forced", "failure")
         return real(tensor, **kwargs)
@@ -681,6 +684,35 @@ def test_an_error_that_cannot_cross_processes_still_skips_its_receiver(
     monkeypatch.setattr(harness, "estimate_paths", flaky)
     result = run_trial(cfg, 0)
     assert result.skipped_receivers == {1: "estimation: forced failure"}
+    # the child sent its receiver's failure as text: this process did not redo it
+    assert calls == [receiver_seed(cfg.seed, 0)]
+
+
+def _plain(chain):
+    """A receiver chain with each SingleReceiverResult as nested dicts and arrays."""
+    stage, reason, num_paths, by_weighting = chain
+    return stage, reason, num_paths, {w: asdict(r) for w, r in by_weighting.items()}
+
+
+def test_every_receiver_chain_survives_a_pickle_round_trip(monkeypatch):
+    cfg = with_modes(mini_config(), "disac", "disac-ls")
+    seed = cfg.seed
+    scene = random_scene(cfg.scene, seed)
+    chains = [harness._receiver_chain(cfg, scene, rx.node_id, seed, ["ls", "wls"])
+              for rx in scene.receivers]
+    assert all(chain[:2] == ("pipeline", None) and chain[3] for chain in chains)
+
+    def locked(*args, **kwargs):
+        raise LockedError("forced", "failure")
+
+    monkeypatch.setattr(harness, "estimate_paths", locked)
+    chains.append(harness._receiver_chain(cfg, scene, 0, seed, ["wls"]))
+    monkeypatch.setattr(ScenarioConfig, "receiver_tensor", locked)
+    chains.append(harness._receiver_chain(cfg, scene, 0, seed, ["wls"]))
+    assert chains[-2:] == [("estimation", "estimation: forced failure", None, {}),
+                           ("synthesis", "synthesis: forced failure", None, {})]
+    for chain in chains:
+        np.testing.assert_equal(_plain(pickle.loads(pickle.dumps(chain))), _plain(chain))
 
 
 @pytest.mark.parametrize("env, receivers, workers", [
@@ -784,6 +816,18 @@ def test_summary_denominators():
     assert s["target_error_p80_m"] == pytest.approx(0.3)
     assert s["targets_detected"] == 1 and s["targets_total"] == 2
     assert s["detection_rate"] == pytest.approx(0.5)
+
+
+def test_summary_counts_the_false_alarms_of_the_trials_that_did_not_fail():
+    outcomes = [ModeOutcome(mode="disac", num_false_alarms=2),
+                ModeOutcome(mode="disac", num_false_alarms=3, failure="fusion: synthetic"),
+                ModeOutcome(mode="disac", num_false_alarms=1)]
+    trials = [TrialResult(trial=i, seed=i, outcomes={"disac": oc}, num_paths={},
+                          skipped_receivers={}) for i, oc in enumerate(outcomes)]
+    mc = MonteCarloResult(config={}, modes=["disac"], trials=trials)
+    assert mc.summary()["disac"]["false_alarms"] == 3
+    empty = MonteCarloResult(config={}, modes=["disac"], trials=[])
+    assert empty.summary()["disac"]["false_alarms"] == 0
 
 
 def test_summary_empty_mode():
