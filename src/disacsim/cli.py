@@ -189,8 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", required=True, help="tensor file prefix (no extension)")
     p.add_argument("--rank", default="auto", help="model order >= 0, or 'auto'")
     p.add_argument("--max-rank", default=DEFAULT_MAX_RANK, help="cap on the 'auto' order")
-    p.add_argument("--restarts", default=AlsOptions.restarts)
-    p.add_argument("--seed", default=AlsOptions.seed)
+    p.add_argument("--restarts", default=AlsOptions.restarts,
+                   help="random ALS restarts, run only when the algebraic start "
+                        "misses the noise floor")
+    p.add_argument("--seed", default=AlsOptions.seed, help="seed of the ALS restarts")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("e2e", help="run one end-to-end trial")

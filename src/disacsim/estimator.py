@@ -6,8 +6,16 @@ terms, one per propagation path. Estimation proceeds in three steps:
 1. model order: count singular values of the mode unfoldings (square
    roots of the eigenvalues of the mode Grams) that clear a noise-floor
    threshold derived from the injected noise power;
-2. canonical polyadic decomposition by alternating least squares with
-   random restarts, stacked on one leading axis and run together; each
+2. canonical polyadic decomposition. For a tensor with a noise level an
+   algebraic start is tried first: the subcarrier factor of every path is
+   a Vandermonde column, so ESPRIT (Roy & Kailath, IEEE TASSP 1989) on the
+   signal subspace of that mode gives its generators, a least-squares
+   solve the Khatri-Rao product of the four spatial factors, and a rank-1
+   split of each of its columns the spatial factors (Sorensen & De
+   Lathauwer, IEEE TSP 2013). Two ALS sweeps polish the start, which is
+   kept only if it converges at the tensor's expected noise residual (see
+   estimate_paths). Otherwise alternating least squares with random
+   restarts runs, stacked on one leading axis and run together; each
    sweep takes the MTTKRPs of all restarts from a dimension tree (two
    GEMMs over the tensor), checks each Gram's condition from its
    eigenvalues, and takes its residual from the norm identity, or
@@ -75,8 +83,12 @@ class AlsOptions:
 
     The defaults are the stock values of the scenario's estimation section
     and of ``disacsim estimate``; acceptance criterion 2 and the lattice
-    benchmark run 5 restarts. cpd_als also stops at the noise floor, which
-    it reads from the tensor, not from these options.
+    benchmark ask for 5 restarts. estimate_paths runs the restarts only
+    when its algebraic start misses the noise floor (on the lattice
+    tensors it never does; on the stock ones it always does), and polishes
+    that start with min(2, max_sweeps) sweeps under the same rel_tol.
+    cpd_als also stops at the noise floor, which it reads from the tensor,
+    not from these options.
     """
 
     max_sweeps: int = 300
@@ -194,7 +206,24 @@ def _update_mode(factors, grams, mode: int, v: np.ndarray, restarts: np.ndarray)
     return g
 
 
-def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
+def _noise_floor(tensor) -> float:
+    """Residual at or below which a converged fit stands at the noise floor.
+
+    FLOOR_MARGIN * sqrt(expected_noise_energy) for a MeasurementTensor with
+    noise_var > 0; -inf (no floor) for a raw array or noise_var == 0.
+    """
+    if isinstance(tensor, MeasurementTensor) and tensor.noise_var > 0.0:
+        energy = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var)
+        return FLOOR_MARGIN * float(np.sqrt(energy))
+    return -np.inf
+
+
+def cpd_als(
+    tensor,
+    rank: int,
+    opts: AlsOptions | None = None,
+    start: list[np.ndarray] | None = None,
+) -> CpFactors:
     """Rank-``rank`` canonical polyadic decomposition of an order-5 tensor.
 
     Alternating least squares from random complex Gaussian starts. Each
@@ -207,6 +236,11 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     word, which moves every canonical digest). The
     residual of each restart is checked to be non-increasing across sweeps,
     which exact per-mode least squares guarantees up to roundoff.
+
+    ``start`` replaces the random starts by one given start, five (dim_i,
+    rank) factors: the call then runs that single restart, with no Philox
+    draw, and ignores opts.restarts and opts.seed. estimate_paths passes
+    its algebraic Vandermonde start this way.
 
     All restarts run together: every factor is stacked as (K, n_i, L) and
     every Gram as (K, L, L) over the K restarts still running. A restart
@@ -283,26 +317,29 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
     t_mat = data.reshape(-1, n_e)
     norm_sq = norm_t * norm_t
 
-    rngs = [
-        np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
-        for restart in range(opts.restarts)
-    ]
-    factors = [
-        np.stack([
-            (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
-            for rng in rngs
-        ])
-        for n in data.shape
-    ]
+    if start is None:
+        starts = opts.restarts
+        rngs = [
+            np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
+            for restart in range(starts)
+        ]
+        factors = [
+            np.stack([
+                (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
+                for rng in rngs
+            ])
+            for n in data.shape
+        ]
+    else:
+        if [np.shape(f) for f in start] != [(n, rank) for n in data.shape]:
+            raise ValueError(f"start must be five (dim_i, {rank}) factors of a {data.shape} tensor")
+        starts = 1
+        factors = [np.asarray(f, dtype=complex)[None] for f in start]
     grams = [f.swapaxes(-1, -2).conj() @ f for f in factors]
-    # residual at or below which a converged restart wins at once; only a
-    # tensor that carries a positive noise level has one
-    floor = -np.inf
-    if isinstance(tensor, MeasurementTensor) and tensor.noise_var > 0.0:
-        energy = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var)
-        floor = FLOOR_MARGIN * float(np.sqrt(energy))
+    # residual at or below which a converged restart wins at once
+    floor = _noise_floor(tensor)
     best = None
-    running = np.arange(opts.restarts)
+    running = np.arange(starts)
     histories: list[list[float]] = [[] for _ in running]
     # each finished restart's raw factors and whether it converged; only the
     # winner is finalized
@@ -371,7 +408,7 @@ def cpd_als(tensor, rank: int, opts: AlsOptions | None = None) -> CpFactors:
         for k in range(running.size):
             record(k, converged=False)
         # min keeps the first of equal residuals: ties go to the lowest restart
-        best = min(range(opts.restarts), key=lambda r: histories[r][-1])
+        best = min(range(starts), key=lambda r: histories[r][-1])
     raw, converged = done[best]
     return _finalize(raw, histories[best], converged)
 
@@ -440,18 +477,69 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
     which is summed over blocks of the tensor (see _mode_gram) without
     copying the unfolding or its conjugate.
     """
+    return _model_order(tensor, max_rank)[0]
+
+
+def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndarray]:
+    """select_model_order's answer and the subcarrier-mode Gram it built on the way."""
     data = tensor.data
     var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
     best = 0
     for mode in range(data.ndim):
         m = data.shape[mode]
         n = data.size // m
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(_mode_gram(data, mode)), 0.0, None))
+        gram = _mode_gram(data, mode)
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
         thr = max(NOISE_MARGIN * edge, REL_FLOOR * sv[-1])
         count = int(np.sum(sv > thr))
         best = max(best, count)
-    return min(best, max_rank)
+    return min(best, max_rank), gram
+
+
+# ---------------------------------------------------------------------------
+# Algebraic start from the Vandermonde subcarrier mode
+# ---------------------------------------------------------------------------
+
+
+def _vandermonde_start(data: np.ndarray, order: int, gram: np.ndarray) -> list[np.ndarray] | None:
+    """Rank-``order`` factors computed algebraically from the subcarrier mode.
+
+    The subcarrier factor of every path is a Vandermonde column z^k with
+    z = exp(-2j pi spacing tau) (Sorensen & De Lathauwer, "Blind signal
+    separation via tensor decomposition with Vandermonde factor", IEEE TSP
+    2013). With U the top-``order`` eigenvectors of the subcarrier-mode
+    Gram ``gram`` (the unfolding's signal subspace), the generators z are
+    the eigenvalues of U[:-1]^+ U[1:] (ESPRIT: Roy & Kailath, IEEE TASSP
+    1989), projected onto the unit circle. With E = [z_l^k] the Khatri-Rao
+    product of the four spatial factors is KR = T_(abcd x e) (E^T)^+; each
+    of its columns is split into the four spatial columns by the leading
+    eigenvector of each unfolding's Gram (all columns of a mode in one
+    batched eigh), and the column's least-squares scale goes into E.
+
+    Returns the five factors (the spatial ones with unit columns), or None
+    when the start cannot be formed: an all-zero tensor, ``order`` at or
+    above the subcarrier count (U[:-1] then has no more rows than
+    columns), or an ESPRIT root that is zero or not finite.
+    """
+    n_e = data.shape[-1]
+    if order >= n_e or not data.any():
+        return None
+    u = np.linalg.eigh(gram)[1][:, -order:]
+    z = np.linalg.eigvals(np.linalg.pinv(u[:-1]) @ u[1:])
+    mag = np.abs(z)
+    if not (np.isfinite(z).all() and (mag > 0.0).all()):
+        return None
+    vand = (z / mag)[None, :] ** np.arange(n_e)[:, None]
+    kr = data.reshape(-1, n_e) @ np.linalg.pinv(vand.T)
+    cols = kr.T.reshape((order,) + data.shape[:-1])
+    spatial = []
+    for mode in range(1, cols.ndim):
+        unf = np.moveaxis(cols, mode, 1).reshape(order, cols.shape[mode], -1)
+        lead = np.linalg.eigh(unf @ unf.conj().swapaxes(-1, -2))[1][..., -1]
+        spatial.append(lead.T)
+    scale = np.sum(_khatri_rao(spatial).conj() * kr, axis=0)
+    return spatial + [vand * scale]
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +639,22 @@ def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float
     return 0.0 if tau == period else tau
 
 
+def _vandermonde_fit(tensor: MeasurementTensor, order: int, gram: np.ndarray | None,
+                     opts: AlsOptions) -> CpFactors | None:
+    """The polished Vandermonde start if it converges at the noise floor, else None."""
+    data = tensor.data
+    if gram is None:
+        gram = _mode_gram(data, data.ndim - 1)
+    try:
+        start = _vandermonde_start(data, order, gram)
+        if start is None:
+            return None
+        cp = cpd_als(tensor, order, replace(opts, max_sweeps=min(2, opts.max_sweeps)), start=start)
+    except (RankDeficiencyError, np.linalg.LinAlgError):
+        return None
+    return cp if cp.converged and cp.residual <= _noise_floor(tensor) else None
+
+
 @dataclass(frozen=True)
 class EstimatedPath:
     """One recovered path: complex gain, measured delay, local-frame angles.
@@ -579,14 +683,31 @@ def estimate_paths(
     rank="auto" selects the model order from the data; rank=0 or an empty
     selection returns []. The returned paths are sorted by descending
     |gain| (ties broken by delay).
+
+    For a tensor with noise_var > 0 the CPD first tries the algebraic
+    Vandermonde start (_vandermonde_start, from the subcarrier-mode Gram
+    that the model-order selection builds) polished by at most
+    min(2, opts.max_sweeps) sweeps of cpd_als: one to polish, one to give
+    rel_tol its second residual. That fit is kept only if it stops
+    converged with a residual at the noise floor, the rule by which
+    cpd_als itself accepts a restart. Otherwise, and whenever the start
+    cannot be formed or its polish loses rank, the random restarts of
+    cpd_als(tensor, order, opts) run as they would without it.
     """
+    if opts is None:
+        opts = AlsOptions()
+    gram = None
     if rank == "auto":
-        order = select_model_order(tensor, max_rank=max_rank)
+        order, gram = _model_order(tensor, max_rank)
     else:
         order = int(rank)
     if order == 0:
         return []
-    cp = cpd_als(tensor, order, opts)
+    cp = None
+    if tensor.noise_var > 0.0:
+        cp = _vandermonde_fit(tensor, order, gram, opts)
+    if cp is None:
+        cp = cpd_als(tensor, order, opts)
 
     books = tensor.codebooks
     kd_rx = books.rx_geom.phase_scale

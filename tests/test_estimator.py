@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from disacsim import estimator
 from disacsim.estimator import (
@@ -357,8 +360,9 @@ def test_without_a_converged_restart_at_the_floor_the_smallest_residual_wins(
 
 
 def lattice_tensor(key):
-    """The lattice workload's tensor ``key``: acceptance criterion 2's four
-    paths, jittered about a lattice of direction cosines and delays, at 30 dB."""
+    """The lattice workload's tensor ``key`` and its planted paths: acceptance
+    criterion 2's four paths, jittered about a lattice of direction cosines
+    and delays, at 30 dB."""
     books = lattice_books()
     ofdm = OfdmConfig()
     rng = np.random.default_rng([*key, 11])
@@ -377,13 +381,13 @@ def lattice_tensor(key):
     sig = tensor_from_paths(paths, books, ofdm, gains=gains)
     var = float(np.vdot(sig, sig).real) / (expected_noise_energy(books, ofdm, 1.0) * 1.0e3)
     noise = beamspace_noise(books, ofdm, var, np.random.default_rng([*key, 1]))
-    return MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var)
+    return MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var), paths
 
 
 def test_the_noise_floor_fit_is_the_best_single_restart_on_a_lattice_tensor():
     # seed 1's item 1 stops after 4 stacked sweeps on restart 3; restarts 0,
     # 1 and 4 end in swamps, and restart 2 holds the smallest residual
-    tensor = lattice_tensor((1, 1))
+    tensor, _ = lattice_tensor((1, 1))
     norm = np.linalg.norm(tensor.data)
     cp = cpd_als(tensor, 4, AlsOptions(restarts=5, seed=1001))
     singles = [cpd_als(tensor, 4, AlsOptions(restarts=1, seed=1001 + r)) for r in range(5)]
@@ -770,3 +774,191 @@ def test_estimate_paths_flags_non_steering_factor():
     tensor = MeasurementTensor(data=data, codebooks=books, ofdm=ofdm)
     est = estimate_paths(tensor, rank=1, opts=AlsOptions(restarts=1, seed=0))
     assert len(est) == 1 and est[0].low_confidence
+
+
+# ---------------------------------------------------------------------------
+# Algebraic Vandermonde start
+# ---------------------------------------------------------------------------
+
+
+def all_paths_recovered(est, planted):
+    """Acceptance criterion 2's rule: paired by the least total delay
+    mismatch, every planted path has an estimate within 1 degree on all four
+    angles and 1 ns in delay."""
+    cost = np.abs(np.subtract.outer([e.delay for e in est], [p.delay for p in planted]))
+    rows, cols = linear_sum_assignment(cost)
+    if len(cols) < len(planted):
+        return False
+    for i, j in zip(rows, cols):
+        e, p = est[i], planted[j]
+        errors = (e.aoa.azimuth - p.aoa.azimuth, e.aoa.elevation - p.aoa.elevation,
+                  e.aod.azimuth - p.aod.azimuth, e.aod.elevation - p.aod.elevation)
+        if np.max(np.abs(np.degrees(errors))) >= 1.0 or abs(e.delay - p.delay) >= 1e-9:
+            return False
+    return True
+
+
+def decline_the_start(monkeypatch):
+    monkeypatch.setattr(estimator, "_vandermonde_start", lambda data, order, gram: None)
+
+
+@pytest.mark.parametrize("key", [(1, 35), (2, 68), (2, 97), (3, 28)])
+def test_the_vandermonde_start_recovers_lattice_tensors_the_restarts_miss(monkeypatch, key):
+    tensor, planted = lattice_tensor(key)
+    opts = AlsOptions(restarts=5, seed=1000 * key[0] + key[1])
+    assert all_paths_recovered(estimate_paths(tensor, opts=opts), planted)
+    decline_the_start(monkeypatch)
+    assert not all_paths_recovered(estimate_paths(tensor, opts=opts), planted)
+
+
+def equal_delay_tensor():
+    # two paths on distinct beams that arrive at the same delay, at 30 dB
+    paths = [replace(p, delay=150e-9) for p in make_paths(2)]
+    books = make_books()
+    ofdm = OfdmConfig(num_subcarriers=32)
+    sig = tensor_from_paths(paths, books, ofdm, gains=np.array([1.0, 0.8j]))
+    var = float(np.vdot(sig, sig).real) / (expected_noise_energy(books, ofdm, 1.0) * 1.0e3)
+    noise = beamspace_noise(books, ofdm, var, np.random.default_rng(4))
+    return MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var)
+
+
+def test_a_start_that_misses_the_floor_leaves_the_restarts_result_unchanged(monkeypatch):
+    config = default_scenario()
+    scene = random_scene(config.scene, config.seed)
+    cases = [
+        (config.receiver_tensor(scene, rx, config.seed), "auto", config.max_rank,
+         replace(config.als, seed=receiver_seed(config.seed, rx)))
+        for rx in range(len(scene.receivers))
+    ]
+    cases.append((equal_delay_tensor(), 2, DEFAULT_MAX_RANK, AlsOptions(restarts=2, seed=0)))
+    formed = []
+    start = estimator._vandermonde_start
+    monkeypatch.setattr(estimator, "_vandermonde_start",
+                        lambda *args: formed.append(start(*args)) or formed[-1])
+    with_start = [estimate_paths(t, rank=r, opts=o, max_rank=m) for t, r, m, o in cases]
+    # every start was formed and polished, and none was kept
+    assert len(formed) == len(cases) and all(f is not None for f in formed)
+    decline_the_start(monkeypatch)
+    without = [estimate_paths(t, rank=r, opts=o, max_rank=m) for t, r, m, o in cases]
+    assert with_start == without
+
+
+def test_degenerate_inputs_decline_the_start():
+    tensor, _ = planted_tensor(2, [1.0, 0.5j])
+    data = tensor.data
+    gram = estimator._mode_gram(data, 4)
+    assert estimator._vandermonde_start(np.zeros_like(data), 2, np.zeros_like(gram)) is None
+    assert estimator._vandermonde_start(data, data.shape[-1], gram) is None
+    # a subspace whose shift map has a zero eigenvalue: the gram of one
+    # unit column e_0 and one e_(n-1) gives U[:-1] a zero column
+    ends = np.zeros_like(gram)
+    ends[0, 0] = ends[-1, -1] = 1.0
+    assert estimator._vandermonde_start(data, 2, ends) is None
+
+
+def test_a_start_whose_polish_loses_rank_falls_back_to_the_restarts(monkeypatch):
+    tensor = noisy_rank_three()
+    opts = AlsOptions(restarts=2, seed=0)
+    calls = []
+    als = estimator.cpd_als
+
+    def singular_polish(tensor, rank, opts=None, start=None):
+        calls.append(start is not None)
+        if start is not None:
+            raise RankDeficiencyError("singular polish")
+        return als(tensor, rank, opts)
+
+    monkeypatch.setattr(estimator, "cpd_als", singular_polish)
+    got = estimate_paths(tensor, rank=3, opts=opts)
+    assert calls == [True, False]
+    monkeypatch.setattr(estimator, "cpd_als", als)
+    decline_the_start(monkeypatch)
+    assert got == estimate_paths(tensor, rank=3, opts=opts)
+
+
+def test_the_polished_start_is_kept_only_when_it_converges_at_the_floor(monkeypatch):
+    tensor, _ = lattice_tensor((1, 0))
+    seen = []
+    als = estimator.cpd_als
+
+    def recorded(tensor, rank, opts=None, start=None):
+        cp = als(tensor, rank, opts, start=start)
+        seen.append((start is not None, opts.max_sweeps, cp.sweeps, cp.converged))
+        return cp
+
+    monkeypatch.setattr(estimator, "cpd_als", recorded)
+    estimate_paths(tensor, opts=AlsOptions(restarts=5, seed=1000))
+    assert seen == [(True, 2, 2, True)]
+    seen.clear()
+    estimate_paths(tensor, opts=AlsOptions(max_sweeps=1, restarts=5, seed=1000))
+    # one sweep leaves rel_tol no second residual, so the restarts run
+    assert [s[:2] for s in seen] == [(True, 1), (False, 1)]
+    seen.clear()
+    # a header that understates the noise puts the floor below the fit:
+    # the polish still converges, above the floor, so the restarts run
+    estimate_paths(replace(tensor, noise_var=tensor.noise_var / 4.0),
+                   rank=4, opts=AlsOptions(restarts=5, seed=1000))
+    assert [s[0] for s in seen] == [True, False] and seen[0][3]
+
+
+def test_the_start_has_pure_ramp_subcarrier_columns():
+    # ESPRIT roots of a noisy tensor lie off the unit circle; projected onto
+    # it, every subcarrier column is a unit-modulus ramp times one scale
+    tensor, _ = lattice_tensor((1, 35))
+    order, gram = estimator._model_order(tensor, DEFAULT_MAX_RANK)
+    e = estimator._vandermonde_start(tensor.data, order, gram)[4]
+    np.testing.assert_allclose(np.abs(e), np.abs(e[:1]) * np.ones_like(np.abs(e)), rtol=1e-12)
+
+
+def test_cpd_als_refuses_a_start_of_the_wrong_shape():
+    tensor, _ = planted_tensor(1, [1.0])
+    start = [np.ones((n, 2), dtype=complex) for n in tensor.data.shape]
+    with pytest.raises(ValueError, match="start must be five"):
+        cpd_als(tensor, 1, start=start)
+    with pytest.raises(ValueError, match="start must be five"):
+        cpd_als(tensor, 2, start=start[:4])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_start_alone_reproduces_noiseless_paths(data):
+    # L <= 8 paths with delays at least one delay cell 1/(N spacing) apart,
+    # circularly: each sits in its own even cell, jittered by up to a cell
+    books = make_books()
+    ofdm = OfdmConfig(num_subcarriers=32)
+    n = ofdm.num_subcarriers
+    cell = 1.0 / (n * ofdm.subcarrier_spacing)
+    slots = data.draw(st.lists(st.integers(0, n // 2 - 1), min_size=1, max_size=8, unique=True))
+    rank = len(slots)
+    jitter = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rank, max_size=rank))
+    turn = data.draw(st.floats(0.0, n, exclude_max=True))
+    taus = [((2 * s + j + turn) % n) * cell for s, j in zip(slots, jitter)]
+    cos = st.floats(-0.7, 0.7)
+    paths = []
+    for tau in taus:
+        ux_rx, uy_rx, ux_tx, uy_tx = (data.draw(cos) for _ in range(4))
+        paths.append(PathRecord(gain=1.0, delay=tau, aoa=angles_from_cosines(ux_rx, uy_rx)[0],
+                                aod=angles_from_cosines(ux_tx, uy_tx)[0], label=LABEL_LOS))
+    gains = np.array([data.draw(st.floats(0.5, 2.0)) * np.exp(1j * data.draw(st.floats(0.0, 6.28)))
+                      for _ in paths])
+    truth = [path_beam_factors(p, books, ofdm) for p in paths]
+    # rank L needs independent spatial signatures, not only distinct delays
+    spatial = np.stack([np.einsum("a,b,c,d->abcd", *f[:4]).ravel() for f in truth], axis=1)
+    s = np.linalg.svd(spatial, compute_uv=False)
+    assume(s[-1] > 1e-3 * s[0])
+    sig = tensor_from_paths(paths, books, ofdm, gains=gains)
+
+    start = estimator._vandermonde_start(sig, rank, estimator._mode_gram(sig, 4))
+    assert start is not None
+    delays = [extract_delay(start[4][:, l], ofdm.subcarrier_spacing) for l in range(rank)]
+    gap = np.abs(np.subtract.outer(delays, taus))
+    gap = np.minimum(gap, n * cell - gap)  # delays are read modulo the period
+    rows, cols = linear_sum_assignment(gap)
+    assert np.max(gap[rows, cols]) <= 1e-6 * cell
+    for l, k in zip(rows, cols):
+        for got, want in zip(start, truth[k]):
+            col = got[:, l]
+            match = abs(np.vdot(col, want)) / (np.linalg.norm(col) * np.linalg.norm(want))
+            assert match >= 1.0 - 1e-9
+    model = rank_one_sum(np.ones(rank), [f.T for f in start])
+    assert np.linalg.norm(model - sig) <= 1e-8 * np.linalg.norm(sig)
