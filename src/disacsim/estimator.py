@@ -5,7 +5,10 @@ terms, one per propagation path. Estimation proceeds in three steps:
 
 1. model order: count singular values of the mode unfoldings (square
    roots of the eigenvalues of the mode Grams) that clear a noise-floor
-   threshold derived from the injected noise power;
+   threshold derived from the injected noise power. The subcarrier mode
+   is counted first, from one eigh that also gives the algebraic start its
+   signal subspace; a later mode no wider than the count so far is
+   skipped, as it cannot count more;
 2. canonical polyadic decomposition. For a tensor with a noise level an
    algebraic start is tried first: the subcarrier factor of every path is
    a Vandermonde column, so ESPRIT (Roy & Kailath, IEEE TASSP 1989) on the
@@ -23,15 +26,15 @@ terms, one per propagation path. Estimation proceeds in three steps:
    tensor's expected noise residual ends the decomposition (see cpd_als);
 3. per-path parameter extraction from the factor columns: each spatial
    column is matched against the beamspace signature of a phase ramp (a
-   dense grid scan, whose ramps are built once per element count, then a
-   golden-section refinement; all columns of a factor go through both
-   together, one stacked product per step), the two per-array ramps are
-   jointly inverted into angles, and the subcarrier column yields the
-   delay through its shift invariance. Gains are re-fit by least squares
-   against the rank-1 signatures of the extracted parameters.
+   dense grid scan against signatures built once per codebook and
+   process, then a golden-section refinement; the four spatial factors
+   share one refinement loop, each probing its own columns in one stacked
+   product per step), the two per-array ramps are jointly inverted into
+   angles, and the subcarrier column yields the delay through its shift
+   invariance. Gains are re-fit by least squares against the rank-1
+   signatures of the extracted parameters.
 """
 
-import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -61,8 +64,8 @@ NOISE_MARGIN = 1.4  # see select_model_order
 # singular values below this share of the largest are roundoff: the Gram
 # route of select_model_order resolves them only down to about sqrt(eps) ~ 1e-8
 REL_FLOOR = 1.0e-6
-# coarse ramp scan of extract_angle; its ramps are memoised per element count
-# (_grid_ramp) and each call scores all of a factor's columns against them at once
+# coarse ramp scan of the angle search; each codebook's signatures of it are
+# built once per process (_grid_signature) and score all columns at once
 ANGLE_GRID_POINTS = 2048
 # a restart of cpd_als that converges within this factor of the tensor's
 # expected noise residual ends the call: the other restarts could only tie it
@@ -476,25 +479,42 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
     are the square roots of the eigenvalues of the m x m Gram unf unf^H,
     which is summed over blocks of the tensor (see _mode_gram) without
     copying the unfolding or its conjugate.
+
+    The subcarrier mode is counted first, then the spatial modes in order;
+    a mode whose dimension m is at most the largest count so far is
+    skipped, as its m singular values cannot count more than m. The answer
+    is the one a count over every mode gives.
     """
     return _model_order(tensor, max_rank)[0]
 
 
-def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndarray]:
-    """select_model_order's answer and the subcarrier-mode Gram it built on the way."""
+def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """select_model_order's answer, the subcarrier-mode Gram and its eigenvectors.
+
+    The eigenvectors are those of np.linalg.eigh(gram), columns in
+    ascending eigenvalue order: that one decomposition gives both the
+    subcarrier mode's count and the algebraic start's signal subspace.
+    """
     data = tensor.data
     var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
+    last = data.ndim - 1
     best = 0
-    for mode in range(data.ndim):
+    for mode in (last, *range(last)):
         m = data.shape[mode]
+        if m <= best:
+            continue  # m singular values cannot count more than m
         n = data.size // m
         gram = _mode_gram(data, mode)
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+        if mode == last:
+            sub_gram = gram
+            lam, vectors = np.linalg.eigh(gram)
+        else:
+            lam = np.linalg.eigvalsh(gram)
+        sv = np.sqrt(np.clip(lam, 0.0, None))
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
         thr = max(NOISE_MARGIN * edge, REL_FLOOR * sv[-1])
-        count = int(np.sum(sv > thr))
-        best = max(best, count)
-    return min(best, max_rank), gram
+        best = max(best, int(np.sum(sv > thr)))
+    return min(best, max_rank), sub_gram, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +522,15 @@ def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _vandermonde_start(data: np.ndarray, order: int, gram: np.ndarray) -> list[np.ndarray] | None:
+def _vandermonde_start(data: np.ndarray, order: int, vectors: np.ndarray) -> list[np.ndarray] | None:
     """Rank-``order`` factors computed algebraically from the subcarrier mode.
 
     The subcarrier factor of every path is a Vandermonde column z^k with
     z = exp(-2j pi spacing tau) (Sorensen & De Lathauwer, "Blind signal
     separation via tensor decomposition with Vandermonde factor", IEEE TSP
     2013). With U the top-``order`` eigenvectors of the subcarrier-mode
-    Gram ``gram`` (the unfolding's signal subspace), the generators z are
+    Gram (the unfolding's signal subspace; ``vectors`` holds all of them,
+    as np.linalg.eigh returns them), the generators z are
     the eigenvalues of U[:-1]^+ U[1:] (ESPRIT: Roy & Kailath, IEEE TASSP
     1989), projected onto the unit circle. With E = [z_l^k] the Khatri-Rao
     product of the four spatial factors is KR = T_(abcd x e) (E^T)^+; each
@@ -525,7 +546,7 @@ def _vandermonde_start(data: np.ndarray, order: int, gram: np.ndarray) -> list[n
     n_e = data.shape[-1]
     if order >= n_e or not data.any():
         return None
-    u = np.linalg.eigh(gram)[1][:, -order:]
+    u = vectors[:, -order:]
     z = np.linalg.eigvals(np.linalg.pinv(u[:-1]) @ u[1:])
     mag = np.abs(z)
     if not (np.isfinite(z).all() and (mag > 0.0).all()):
@@ -547,61 +568,99 @@ def _vandermonde_start(data: np.ndarray, order: int, gram: np.ndarray) -> list[n
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_ramp(num_elements: int) -> np.ndarray:
-    """Read-only ramps of the ANGLE_GRID_POINTS-point scan, one per element count."""
-    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
-    ramp = phase_ramp(grid, num_elements)
-    ramp.flags.writeable = False
-    return ramp
+# the coarse scan of the angle search and its spacing
+_ANGLE_GRID = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
+_ANGLE_GRID.flags.writeable = False
+# (matrix bytes, shape, strides, transmit kind) -> the codebook's conjugated
+# grid signature (1, points, beams) and its norms (1, points); see _grid_signature
+_GRID_SIGNATURES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+GRID_CACHE_SIZE = 16  # codebooks whose grid signatures are kept at once
 
 
-def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial frequency (radians per element) best explaining each factor column.
+def _grid_signature(codebook: BeamCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only conjugated beamspace signatures of the grid ramps, and their norms.
 
-    ``factor`` is (beams, columns). Each column u is scored against the
-    beamspace signatures s(omega) of a dense grid of ramps exp(j*omega*n)
-    by the normalized correlation |u^H s(omega)| / (||u|| ||s(omega)||),
-    and its winner is refined by golden-section search to 1e-6 rad.
-    Returns (omegas, correlations), one entry per column; the caller
-    decides what correlation is trustworthy.
-
-    All columns go through every step together: the grid scan is one
-    stacked product, and each golden-section step probes one omega per
-    column in one signature build. The columns are stacked as views with
-    their own stride, so each product rounds exactly as the column's own
-    product would.
+    Built once per process for each codebook matrix and receive or
+    transmit kind, as a BeamCodebook may hold any matrix; the key holds
+    the matrix layout too, so a cached signature is the one the codebook's
+    own matrix gives. A zero norm is stored as inf, so that its
+    correlations read 0.
     """
-    factor = np.asarray(factor, dtype=complex)
-    if codebook.num_beams < 2:
-        raise ValueError("cannot identify a spatial frequency from a single beam")
-    if factor.ndim != 2 or factor.shape[0] != codebook.num_beams:
-        raise ValueError(
-            f"factor must be (beams, columns) with {codebook.num_beams} beams, "
-            f"got shape {factor.shape}"
-        )
-    # the 1-D norm of each column: an axis norm differs in the last bit
-    u_norms = np.array([np.linalg.norm(factor[:, l]) for l in range(factor.shape[1])])
-    zero = np.flatnonzero(u_norms == 0.0)
-    if zero.size:
-        raise ValueError(f"factor column {zero[0]} is zero")
-    u = factor.T[:, :, None]  # (columns, beams, 1), no copy
-
-    def corr(sig):
-        """(columns, k) correlations of each column with its own k signatures."""
+    matrix = codebook.matrix
+    key = (matrix.tobytes(), matrix.shape, matrix.strides, codebook.axis.startswith("tx"))
+    cached = _GRID_SIGNATURES.get(key)
+    if cached is None:
+        sig = beam_response(codebook, phase_ramp(_ANGLE_GRID, codebook.num_elements))[None]
         norms = np.linalg.norm(sig, axis=-1)
         norms[norms == 0.0] = np.inf
-        return np.abs(np.matmul(sig.conj(), u)[..., 0]) / (norms * u_norms[:, None])
+        cached = (sig.conj(), norms)
+        for array in cached:
+            array.flags.writeable = False
+        if len(_GRID_SIGNATURES) >= GRID_CACHE_SIZE:
+            del _GRID_SIGNATURES[next(iter(_GRID_SIGNATURES))]
+        _GRID_SIGNATURES[key] = cached
+    return cached
+
+
+class _AngleAxis:
+    """One factor's part of the angle search: its codebook, its columns and
+    their norms."""
+
+    def __init__(self, factor: np.ndarray, codebook: BeamCodebook):
+        factor = np.asarray(factor, dtype=complex)
+        if codebook.num_beams < 2:
+            raise ValueError("cannot identify a spatial frequency from a single beam")
+        if factor.ndim != 2 or factor.shape[0] != codebook.num_beams:
+            raise ValueError(
+                f"factor must be (beams, columns) with {codebook.num_beams} beams, "
+                f"got shape {factor.shape}"
+            )
+        # the 1-D norm of each column: an axis norm differs in the last bit
+        u_norms = np.array([np.linalg.norm(factor[:, l]) for l in range(factor.shape[1])])
+        zero = np.flatnonzero(u_norms == 0.0)
+        if zero.size:
+            raise ValueError(f"factor column {zero[0]} is zero")
+        self.columns = factor.shape[1]
+        self.u_norms = u_norms[:, None]
+        self.u = factor.T[:, :, None]  # (columns, beams, 1), no copy
+        self.codebook = codebook
+
+    def corr(self, conj_sig: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """(columns, k) correlations of each column with its own k signatures."""
+        return np.abs(np.matmul(conj_sig, self.u)[..., 0]) / (norms * self.u_norms)
+
+    def probe(self, omegas: np.ndarray) -> np.ndarray:
+        """Correlations of each column with the signatures of its own (columns, k) omegas."""
+        sig = beam_response(self.codebook, phase_ramp(omegas, self.codebook.num_elements))
+        norms = np.linalg.norm(sig, axis=-1)
+        norms[norms == 0.0] = np.inf
+        return self.corr(sig.conj(), norms)
+
+
+def _extract_angles(factors, codebooks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """extract_angle of each (factor, codebook) pair, in one lockstep search.
+
+    Every column of every factor is scored on the grid against its own
+    codebook's cached signatures (_grid_signature), then refined by one
+    golden-section loop: the brackets and the step bookkeeping of all
+    columns are kept side by side, and each step probes every factor once
+    on its own column views. Each product is thus the one a search over
+    that factor alone makes, and rounds the same. Returns one (omegas,
+    correlations) pair per factor, in order.
+    """
+    axes = [_AngleAxis(f, cb) for f, cb in zip(factors, codebooks)]
+    ends = np.cumsum([axis.columns for axis in axes]).tolist()
+    rows = [slice(end - axis.columns, end) for axis, end in zip(axes, ends)]
 
     def probe(omegas):
-        return corr(beam_response(codebook, phase_ramp(omegas, codebook.num_elements)))
+        return np.concatenate([axis.probe(omegas[r]) for axis, r in zip(axes, rows)])
 
-    grid = np.linspace(-np.pi, np.pi, ANGLE_GRID_POINTS, endpoint=False)
-    step = grid[1] - grid[0]
-    grid_sig = beam_response(codebook, _grid_ramp(codebook.num_elements))
-    peak = np.argmax(corr(grid_sig[None]), axis=1)
-    # golden-section refinement (maximization) down to 1e-6 rad, all columns at once
-    a, b = grid[peak] - step, grid[peak] + step
+    peak = np.concatenate([
+        np.argmax(axis.corr(*_grid_signature(axis.codebook)), axis=1) for axis in axes
+    ])
+    step = _ANGLE_GRID[1] - _ANGLE_GRID[0]
+    # golden-section refinement (maximization) down to 1e-6 rad
+    a, b = _ANGLE_GRID[peak] - step, _ANGLE_GRID[peak] + step
     d = GOLDEN * (b - a)
     x1, x2 = b - d, a + d
     f1, f2 = probe(np.stack([x1, x2], axis=1)).T
@@ -617,7 +676,30 @@ def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarra
         x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
         f1, f2 = np.where(right, f2, f), np.where(right, f, f1)
     omegas = 0.5 * (a + b)
-    return omegas, probe(omegas[:, None])[:, 0]
+    corrs = probe(omegas[:, None])[:, 0]
+    return [(omegas[r], corrs[r]) for r in rows]
+
+
+def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial frequency (radians per element) best explaining each factor column.
+
+    ``factor`` is (beams, columns). Each column u is scored against the
+    beamspace signatures s(omega) of a dense grid of ramps exp(j*omega*n)
+    by the normalized correlation |u^H s(omega)| / (||u|| ||s(omega)||),
+    and its winner is refined by golden-section search to 1e-6 rad.
+    Returns (omegas, correlations), one entry per column; the caller
+    decides what correlation is trustworthy.
+
+    All columns go through every step together: the grid scan is one
+    stacked product against the codebook's grid signatures, built once
+    per process (_grid_signature), and each golden-section step probes
+    one omega per column in one signature build. The columns are stacked
+    as views with their own stride, so each product rounds exactly as the
+    column's own product would. This is the one-factor case of
+    _extract_angles, which estimate_paths runs on a decomposition's four
+    spatial factors at once.
+    """
+    return _extract_angles([factor], [codebook])[0]
 
 
 def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float:
@@ -639,14 +721,18 @@ def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float
     return 0.0 if tau == period else tau
 
 
-def _vandermonde_fit(tensor: MeasurementTensor, order: int, gram: np.ndarray | None,
+def _vandermonde_fit(tensor: MeasurementTensor, order: int, vectors: np.ndarray | None,
                      opts: AlsOptions) -> CpFactors | None:
-    """The polished Vandermonde start if it converges at the noise floor, else None."""
+    """The polished Vandermonde start if it converges at the noise floor, else None.
+
+    ``vectors`` are the subcarrier-mode Gram's eigenvectors (see
+    _model_order), or None to compute them here.
+    """
     data = tensor.data
-    if gram is None:
-        gram = _mode_gram(data, data.ndim - 1)
+    if vectors is None:
+        vectors = np.linalg.eigh(_mode_gram(data, data.ndim - 1))[1]
     try:
-        start = _vandermonde_start(data, order, gram)
+        start = _vandermonde_start(data, order, vectors)
         if start is None:
             return None
         cp = cpd_als(tensor, order, replace(opts, max_sweeps=min(2, opts.max_sweeps)), start=start)
@@ -685,8 +771,8 @@ def estimate_paths(
     |gain| (ties broken by delay).
 
     For a tensor with noise_var > 0 the CPD first tries the algebraic
-    Vandermonde start (_vandermonde_start, from the subcarrier-mode Gram
-    that the model-order selection builds) polished by at most
+    Vandermonde start (_vandermonde_start, from the subcarrier-mode Gram's
+    eigenvectors that the model-order selection computes) polished by at most
     min(2, opts.max_sweeps) sweeps of cpd_als: one to polish, one to give
     rel_tol its second residual. That fit is kept only if it stops
     converged with a residual at the noise floor, the rule by which
@@ -696,16 +782,16 @@ def estimate_paths(
     """
     if opts is None:
         opts = AlsOptions()
-    gram = None
+    vectors = None
     if rank == "auto":
-        order, gram = _model_order(tensor, max_rank)
+        order, _, vectors = _model_order(tensor, max_rank)
     else:
         order = int(rank)
     if order == 0:
         return []
     cp = None
     if tensor.noise_var > 0.0:
-        cp = _vandermonde_fit(tensor, order, gram, opts)
+        cp = _vandermonde_fit(tensor, order, vectors, opts)
     if cp is None:
         cp = cpd_als(tensor, order, opts)
 
@@ -721,8 +807,8 @@ def estimate_paths(
     # per axis, each path's direction cosine and correlation
     cosines = []
     corrs = []
-    for i, (cb, scale) in enumerate(axes):
-        om, c = extract_angle(cp.factors[i], cb)
+    found_angles = _extract_angles(cp.factors[:4], [cb for cb, _ in axes])
+    for (om, c), (_, scale) in zip(found_angles, axes):
         cosines.append([float(x) / scale for x in om])
         corrs.append(c)
     found = []

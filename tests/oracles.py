@@ -222,6 +222,22 @@ def svd_model_order(tensor, max_rank):
     return min(best, max_rank)
 
 
+def reference_model_order(tensor, max_rank):
+    """``select_model_order``'s count over every mode, in mode order: the
+    eigenvalues of each copied unfolding's Gram, thresholded by the same
+    rule, with no mode skipped."""
+    data = tensor.data
+    var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
+    best = 0
+    for mode in range(data.ndim):
+        m = data.shape[mode]
+        n = data.size // m
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(unfolding_gram(data, mode)), 0.0, None))
+        edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
+        best = max(best, int(np.sum(sv > max(NOISE_MARGIN * edge, REL_FLOOR * sv[-1]))))
+    return min(best, max_rank)
+
+
 def reference_extract_angle(factor_column, codebook):
     """One column's spatial frequency the per-column way: the ramp grid's
     signature is rebuilt for the column, then scored and refined by

@@ -36,7 +36,13 @@ from disacsim.waveform import (
     synthesize_tensor,
     tensor_from_paths,
 )
-from oracles import reference_als, reference_extract_angle, svd_model_order, unfolding_gram
+from oracles import (
+    reference_als,
+    reference_extract_angle,
+    reference_model_order,
+    svd_model_order,
+    unfolding_gram,
+)
 
 RX_GEOM = UpaGeometry(4, 4, 0.01, 0.02)
 TX_GEOM = UpaGeometry(8, 8, 0.01, 0.02)
@@ -474,6 +480,52 @@ def test_model_order_from_grams_counts_as_the_svd():
             assert select_model_order(tensor, max_rank=cap) == svd_model_order(tensor, cap)
 
 
+def low_rank_tensor(rng, rank, delays, snr_db):
+    """A random rank-``rank`` tensor on make_books' axes (4, 4, 8, 8 beams and
+    32 subcarriers) whose subcarrier factor has only ``delays`` distinct
+    columns, with beamspace noise at ``snr_db``."""
+    books = make_books()
+    ofdm = OfdmConfig(num_subcarriers=32)
+    shape = books.beam_shape + (ofdm.num_subcarriers,)
+    factors = [rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)) for n in shape]
+    factors[4] = factors[4][:, np.arange(rank) % delays]
+    sig = rank_one_sum(np.ones(rank), [f.T for f in factors])
+    var = snr_noise_var(sig, snr_db)
+    noise = beamspace_noise(books, ofdm, var, rng)
+    return MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var)
+
+
+def test_the_mode_skip_counts_as_every_mode(monkeypatch):
+    rng = np.random.default_rng(23)
+    cases = [
+        (4, 4),  # the receive dimensions equal the subcarrier count: skipped
+        (6, 6),  # a count above the receive dimensions
+        (10, 10),  # a count above every spatial dimension: only mode 4 is counted
+        (3, 1),  # one delay: the spatial modes count more than the subcarrier mode
+        (6, 2),
+        (1, 1),
+    ]
+    for rank, delays in cases:
+        for snr_db in (10.0, 30.0):
+            tensor = low_rank_tensor(rng, rank, delays, snr_db)
+            for cap in (DEFAULT_MAX_RANK, 5, 2):
+                want = reference_model_order(tensor, cap)
+                assert select_model_order(tensor, max_rank=cap) == want
+                order, gram, vectors = estimator._model_order(tensor, cap)
+                assert order == want
+                assert np.array_equal(gram, estimator._mode_gram(tensor.data, 4))
+                assert np.array_equal(vectors, np.linalg.eigh(gram)[1])
+    # the subcarrier mode first, then only the modes wider than the count so far
+    visited = []
+    gram = estimator._mode_gram
+    monkeypatch.setattr(estimator, "_mode_gram", lambda data, mode: visited.append(mode) or gram(data, mode))
+    for rank, delays, modes in [(6, 6, [4, 2, 3]), (4, 4, [4, 2, 3]), (3, 3, [4, 0, 1, 2, 3]),
+                                (10, 10, [4])]:
+        visited.clear()
+        estimator._model_order(low_rank_tensor(rng, rank, delays, 30.0), DEFAULT_MAX_RANK)
+        assert visited == modes
+
+
 @pytest.mark.parametrize("block", [estimator.BLOCK_ENTRIES, 100, 2000])
 def test_mode_grams_are_the_one_shot_products(monkeypatch, block):
     # 100 and 2000 entries split the stock tensor's unfoldings unevenly,
@@ -625,25 +677,132 @@ def test_extract_angle_probes_all_columns_at_once(monkeypatch):
         extract_angle(factor[:, :columns], book)
         return [shape for shape, _ in calls if shape != (estimator.ANGLE_GRID_POINTS,)]
 
-    # the (x1, x2) pair, 19 golden-section steps from the +-1 grid step
+    # the (x1, x2) pair, then 19 golden-section steps from the +-1 grid step
     # bracket and the final correlation
-    assert len(probes(1)) == 21
-    stacked = probes(6)
-    assert len(stacked) == 21
-    assert stacked[0] == (6, 2) and set(stacked[1:]) == {(6, 1)}
+    assert probes(1) == [(1, 2)] + [(1, 1)] * 20
+    assert probes(6) == [(6, 2)] + [(6, 1)] * 20
+
+
+def test_the_lockstep_search_probes_each_factor_once_per_step(monkeypatch):
+    books = lattice_books()
+    rng = np.random.default_rng(9)
+    factors = [rng.standard_normal((book.num_beams, cols)) + 1j * rng.standard_normal((book.num_beams, cols))
+               for book, cols in ((books.tx_az, 6), (books.rx_el, 3))]
+    calls = record_ramps(monkeypatch)
+    estimator._extract_angles(factors, [books.tx_az, books.rx_el])
+    probes = [call for call in calls if call[0] != (estimator.ANGLE_GRID_POINTS,)]
+    # each factor's (L, 2) pair, then per step one (L, 1) probe of each
+    # factor in turn, on its own element count
+    assert probes == [((6, 2), 16), ((3, 2), 8)] + [((6, 1), 16), ((3, 1), 8)] * 20
 
 
 @pytest.mark.parametrize("rank", [2, 4])
 def test_estimate_paths_scans_one_angle_grid_per_axis(monkeypatch, rank):
     calls = record_ramps(monkeypatch)
-    estimator._grid_ramp.cache_clear()
+    built = []
+    response = estimator.beam_response
+
+    def recording_response(book, ramp):
+        if np.shape(ramp)[:-1] == (estimator.ANGLE_GRID_POINTS,):
+            built.append(book.axis)
+        return response(book, ramp)
+
+    monkeypatch.setattr(estimator, "beam_response", recording_response)
+    estimator._GRID_SIGNATURES.clear()
     tensor, _ = planted_tensor(rank, [1.0] * rank)
     for _ in range(2):
         assert len(estimate_paths(tensor, rank=rank, opts=AlsOptions(restarts=1))) == rank
-    # the grid ramps are built once per element count (4 on the receive
-    # axes, 8 on the transmit axes); the second call builds none
+    # one grid signature per distinct codebook: rx_az holds rx_el's matrix
+    # and tx_az tx_el's, so only rx_el and tx_el build one (on their 4 and 8
+    # elements); the second call builds none
+    assert built == ["rx_el", "tx_el"]
     grids = [n for shape, n in calls if shape == (estimator.ANGLE_GRID_POINTS,)]
-    assert sorted(grids) == [4, 8]
+    assert grids == [4, 8]
+
+
+def test_grid_signatures_are_kept_per_matrix_layout_and_kind():
+    estimator._GRID_SIGNATURES.clear()
+    rx = dft_codebook(8, 8, "rx_az")
+    sig = estimator._grid_signature(rx)
+    assert estimator._grid_signature(dft_codebook(8, 8, "rx_el")) is sig
+    assert not sig[0].flags.writeable and not sig[1].flags.writeable
+    others = [
+        dft_codebook(8, 8, "tx_az"),  # the same matrix on the transmit side
+        dft_codebook(8, 8, "rx_az", first_beam=0),  # another matrix
+        replace(rx, matrix=np.asfortranarray(rx.matrix)),  # the same values, Fortran-ordered
+    ]
+    for book in others:
+        assert estimator._grid_signature(book) is not sig
+    assert len(estimator._GRID_SIGNATURES) == 4
+    # the cache holds at most GRID_CACHE_SIZE codebooks, dropping the oldest
+    for first in range(estimator.GRID_CACHE_SIZE):
+        estimator._grid_signature(dft_codebook(16, 4, "rx_el", first_beam=first))
+    assert len(estimator._GRID_SIGNATURES) == estimator.GRID_CACHE_SIZE
+    assert estimator._grid_signature(rx) is not sig
+
+
+def spy_on_the_angle_search(monkeypatch):
+    """Record the factors, codebooks and answers of every lockstep search."""
+    seen = []
+    search = estimator._extract_angles
+
+    def spy(factors, codebooks):
+        got = search(factors, codebooks)
+        seen.append((list(factors), list(codebooks), got))
+        return got
+
+    monkeypatch.setattr(estimator, "_extract_angles", spy)
+    return seen
+
+
+def assert_lockstep_matches_reference(factors, codebooks, got):
+    assert len(got) == len(factors)
+    for factor, book, (omegas, corrs) in zip(factors, codebooks, got):
+        assert omegas.shape == corrs.shape == (factor.shape[1],)
+        for l in range(factor.shape[1]):
+            assert (omegas[l], corrs[l]) == reference_extract_angle(factor[:, l], book)
+
+
+def test_the_lockstep_search_matches_the_reference_on_estimated_factors(monkeypatch):
+    seen = spy_on_the_angle_search(monkeypatch)
+    config = default_scenario()
+    scene = random_scene(config.scene, config.seed)
+    for rx in range(len(scene.receivers)):
+        estimate_paths(config.receiver_tensor(scene, rx, config.seed), max_rank=config.max_rank,
+                       opts=replace(config.als, seed=receiver_seed(config.seed, rx)))
+    for key in [(1, 0), (2, 68)]:
+        estimate_paths(lattice_tensor(key)[0], opts=AlsOptions(restarts=5, seed=1000 * key[0] + key[1]))
+    assert len(seen) == len(scene.receivers) + 2
+    for factors, books, got in seen:
+        assert len(factors) == 4
+        assert_lockstep_matches_reference(factors, books, got)
+
+
+def test_the_lockstep_search_matches_the_reference_on_mixed_layouts():
+    books = lattice_books()
+    rng = np.random.default_rng(5)
+
+    def draw(book, cols):
+        return rng.standard_normal((book.num_beams, cols)) + 1j * rng.standard_normal((book.num_beams, cols))
+
+    wide = draw(books.tx_az, 10)
+    factors = [np.asfortranarray(draw(books.rx_el, 4)), wide[:, ::2], draw(books.tx_el, 3)[:, 1:2],
+               np.zeros((books.rx_az.num_beams, 0), dtype=complex), wide[:, 3:7]]
+    codebooks = [books.rx_el, books.tx_az, books.tx_el, books.rx_az, books.tx_az]
+    assert_lockstep_matches_reference(factors, codebooks, estimator._extract_angles(factors, codebooks))
+
+
+def test_the_lockstep_search_refuses_what_extract_angle_refuses():
+    books = lattice_books()
+    good = np.ones((books.rx_el.num_beams, 2), dtype=complex)
+    zero = np.ones((books.tx_az.num_beams, 4), dtype=complex)
+    zero[:, 2] = 0.0
+    with pytest.raises(ValueError, match="factor column 2 is zero"):
+        estimator._extract_angles([good, zero], [books.rx_el, books.tx_az])
+    with pytest.raises(ValueError, match=r"with 8 beams, got shape \(7, 2\)"):
+        estimator._extract_angles([good, np.ones((7, 2), dtype=complex)], [books.rx_el, books.tx_az])
+    with pytest.raises(ValueError, match="single beam"):
+        estimator._extract_angles([good, good[:1]], [books.rx_el, dft_codebook(1, 1, "rx_az")])
 
 
 def test_extract_delay_zero_and_exact():
@@ -799,7 +958,7 @@ def all_paths_recovered(est, planted):
 
 
 def decline_the_start(monkeypatch):
-    monkeypatch.setattr(estimator, "_vandermonde_start", lambda data, order, gram: None)
+    monkeypatch.setattr(estimator, "_vandermonde_start", lambda data, order, vectors: None)
 
 
 @pytest.mark.parametrize("key", [(1, 35), (2, 68), (2, 97), (3, 28)])
@@ -846,12 +1005,12 @@ def test_a_start_that_misses_the_floor_leaves_the_restarts_result_unchanged(monk
 def test_degenerate_inputs_decline_the_start():
     tensor, _ = planted_tensor(2, [1.0, 0.5j])
     data = tensor.data
-    gram = estimator._mode_gram(data, 4)
-    assert estimator._vandermonde_start(np.zeros_like(data), 2, np.zeros_like(gram)) is None
-    assert estimator._vandermonde_start(data, data.shape[-1], gram) is None
-    # a subspace whose shift map has a zero eigenvalue: the gram of one
-    # unit column e_0 and one e_(n-1) gives U[:-1] a zero column
-    ends = np.zeros_like(gram)
+    vectors = np.linalg.eigh(estimator._mode_gram(data, 4))[1]
+    assert estimator._vandermonde_start(np.zeros_like(data), 2, vectors) is None
+    assert estimator._vandermonde_start(data, data.shape[-1], vectors) is None
+    # a subspace whose shift map has a zero eigenvalue: the unit columns
+    # e_0 and e_(n-1) give U[:-1] a zero column
+    ends = np.zeros((data.shape[-1], 2), dtype=complex)
     ends[0, 0] = ends[-1, -1] = 1.0
     assert estimator._vandermonde_start(data, 2, ends) is None
 
@@ -905,8 +1064,8 @@ def test_the_start_has_pure_ramp_subcarrier_columns():
     # ESPRIT roots of a noisy tensor lie off the unit circle; projected onto
     # it, every subcarrier column is a unit-modulus ramp times one scale
     tensor, _ = lattice_tensor((1, 35))
-    order, gram = estimator._model_order(tensor, DEFAULT_MAX_RANK)
-    e = estimator._vandermonde_start(tensor.data, order, gram)[4]
+    order, _, vectors = estimator._model_order(tensor, DEFAULT_MAX_RANK)
+    e = estimator._vandermonde_start(tensor.data, order, vectors)[4]
     np.testing.assert_allclose(np.abs(e), np.abs(e[:1]) * np.ones_like(np.abs(e)), rtol=1e-12)
 
 
@@ -948,7 +1107,7 @@ def test_the_start_alone_reproduces_noiseless_paths(data):
     assume(s[-1] > 1e-3 * s[0])
     sig = tensor_from_paths(paths, books, ofdm, gains=gains)
 
-    start = estimator._vandermonde_start(sig, rank, estimator._mode_gram(sig, 4))
+    start = estimator._vandermonde_start(sig, rank, np.linalg.eigh(estimator._mode_gram(sig, 4))[1])
     assert start is not None
     delays = [extract_delay(start[4][:, l], ofdm.subcarrier_spacing) for l in range(rank)]
     gap = np.abs(np.subtract.outer(delays, taus))
