@@ -3,36 +3,40 @@
 The measurement tensor of a receiver is (noise aside) a sum of L rank-1
 terms, one per propagation path. Estimation proceeds in three steps:
 
-1. model order: count singular values of the mode unfoldings (square
-   roots of the eigenvalues of the mode Grams) that clear a noise-floor
-   threshold derived from the injected noise power. The subcarrier mode
-   is counted first, from one eigh that also gives the algebraic start its
-   signal subspace; a later mode no wider than the count so far is
-   skipped, as it cannot count more;
-2. canonical polyadic decomposition. For a tensor with a noise level an
-   algebraic start is tried first: the subcarrier factor of every path is
-   a Vandermonde column, so ESPRIT (Roy & Kailath, IEEE TASSP 1989) on the
-   signal subspace of that mode gives its generators, a least-squares
-   solve the Khatri-Rao product of the four spatial factors, and a rank-1
-   split of each of its columns the spatial factors (Sorensen & De
-   Lathauwer, IEEE TSP 2013). Two ALS sweeps polish the start, which is
-   kept only if it converges at the tensor's expected noise residual (see
-   estimate_paths). Otherwise alternating least squares with random
-   restarts runs, stacked on one leading axis and run together; each
-   sweep takes the MTTKRPs of all restarts from a dimension tree (two
-   GEMMs over the tensor), checks each Gram's condition from its
-   eigenvalues, and takes its residual from the norm identity, or
-   directly near an exact fit; the first restart to converge at the
-   tensor's expected noise residual ends the decomposition (see cpd_als);
+1. model order (select_model_order): count singular values of the mode
+   unfoldings (square roots of the eigenvalues of the mode Grams) that
+   clear a noise-floor threshold derived from the injected noise power.
+   The subcarrier mode is counted first, from one eigh that also gives the
+   algebraic start its signal subspace; a later mode no wider than the
+   count so far is skipped, as it cannot count more;
+2. canonical polyadic decomposition (cpd_als). For a tensor with a noise
+   level an algebraic start is tried first: the subcarrier factor of
+   every path is a Vandermonde column, so ESPRIT (Roy & Kailath, IEEE
+   TASSP 1989) on the signal subspace of that mode gives its generators,
+   a least-squares solve the Khatri-Rao product of the four spatial
+   factors, and a rank-1 split of each of its columns the spatial factors
+   (Sorensen & De Lathauwer, IEEE TSP 2013). Two ALS sweeps polish the
+   start, which is kept only if it converges at the tensor's expected
+   noise residual (see estimate_paths). Otherwise alternating least
+   squares with random restarts runs, stacked on one leading axis and run
+   together; each sweep takes the MTTKRPs of all restarts from a
+   dimension tree (two GEMMs over the tensor), checks each Gram's
+   condition from its eigenvalues, and takes its residual from the norm
+   identity, or directly near an exact fit; the first restart to converge
+   at the tensor's expected noise residual ends the decomposition;
 3. per-path parameter extraction from the factor columns: each spatial
-   column is matched against the beamspace signature of a phase ramp (a
-   dense grid scan against signatures built once per codebook and
-   process, then a golden-section refinement; the four spatial factors
-   share one refinement loop, each probing its own columns in one stacked
-   product per step), the two per-array ramps are jointly inverted into
-   angles, and the subcarrier column yields the delay through its shift
-   invariance. Gains are re-fit by least squares against the rank-1
-   signatures of the extracted parameters.
+   column is matched against the beamspace signature of a phase ramp
+   (extract_angle: a dense grid scan against signatures built once per
+   codebook and process, then a golden-section refinement; the four
+   spatial factors share one refinement loop, each probing its own
+   columns in one stacked product per step), the two per-array ramps are
+   jointly inverted into angles, and the subcarrier column yields the
+   delay through its shift invariance. Gains are re-fit by least squares
+   against the rank-1 signatures of the extracted parameters.
+
+estimate_paths runs the chain and calls select_model_order, cpd_als and
+extract_angle by their public names, so a wrapper installed on any of
+them (a tracer's, say) sees each call.
 """
 
 import logging
@@ -70,6 +74,9 @@ ANGLE_GRID_POINTS = 2048
 # a restart of cpd_als that converges within this factor of the tensor's
 # expected noise residual ends the call: the other restarts could only tie it
 FLOOR_MARGIN = 1.01
+# an ALS restart has converged once a sweep lowers its residual by at most
+# this share of the tensor's norm
+REL_TOL = 1.0e-8
 
 
 class RankDeficiencyError(RuntimeError):
@@ -82,28 +89,25 @@ class AlsMonotonicityError(RuntimeError):
 
 @dataclass
 class AlsOptions:
-    """ALS stopping rule and restarts.
+    """ALS sweep cap, restarts and their seed.
 
     The defaults are the stock values of the scenario's estimation section
     and of ``disacsim estimate``; acceptance criterion 2 and the lattice
     benchmark ask for 5 restarts. estimate_paths runs the restarts only
     when its algebraic start misses the noise floor (on the lattice
     tensors it never does; on the stock ones it always does), and polishes
-    that start with min(2, max_sweeps) sweeps under the same rel_tol.
-    cpd_als also stops at the noise floor, which it reads from the tensor,
-    not from these options.
+    that start with min(2, max_sweeps) sweeps. Every restart stops on the
+    fixed tolerance REL_TOL, and cpd_als also stops at the noise floor,
+    which it reads from the tensor, not from these options.
     """
 
     max_sweeps: int = 300
-    rel_tol: float = 1.0e-8
     restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if self.max_sweeps < 1 or self.restarts < 1:
             raise ValueError("max_sweeps and restarts must be at least 1")
-        if not self.rel_tol >= 0.0:  # NaN fails too; below 0 the tolerance stop never fires
-            raise ValueError(f"rel_tol must be a number >= 0, got {self.rel_tol!r}")
 
 
 @dataclass
@@ -116,7 +120,7 @@ class CpFactors:
     model is. residual_history is the per-sweep absolute residual of the
     winning restart (empty for a zero tensor, which needs no sweep),
     sweeps its length, and converged tells whether that restart stopped
-    on rel_tol or an exact fit (True) or at max_sweeps (False). None of
+    on REL_TOL or an exact fit (True) or at max_sweeps (False). None of
     these enter a canonical record.
     """
 
@@ -142,10 +146,6 @@ def _pivot_rotation(column: np.ndarray) -> complex:
     """
     pivot = column[int(np.argmax(np.abs(column)))]
     return np.conj(pivot) / abs(pivot) if pivot != 0 else 1.0
-
-
-def _tensor_data(tensor) -> np.ndarray:
-    return tensor.data if isinstance(tensor, MeasurementTensor) else np.asarray(tensor)
 
 
 def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
@@ -209,25 +209,25 @@ def _update_mode(factors, grams, mode: int, v: np.ndarray, restarts: np.ndarray)
     return g
 
 
-def _noise_floor(tensor) -> float:
+def _noise_floor(tensor: MeasurementTensor) -> float:
     """Residual at or below which a converged fit stands at the noise floor.
 
-    FLOOR_MARGIN * sqrt(expected_noise_energy) for a MeasurementTensor with
-    noise_var > 0; -inf (no floor) for a raw array or noise_var == 0.
+    FLOOR_MARGIN * sqrt(expected_noise_energy) for noise_var > 0; -inf (no
+    floor) for noise_var == 0.
     """
-    if isinstance(tensor, MeasurementTensor) and tensor.noise_var > 0.0:
+    if tensor.noise_var > 0.0:
         energy = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var)
         return FLOOR_MARGIN * float(np.sqrt(energy))
     return -np.inf
 
 
 def cpd_als(
-    tensor,
+    tensor: MeasurementTensor,
     rank: int,
     opts: AlsOptions | None = None,
     start: list[np.ndarray] | None = None,
 ) -> CpFactors:
-    """Rank-``rank`` canonical polyadic decomposition of an order-5 tensor.
+    """Rank-``rank`` canonical polyadic decomposition of a measurement tensor.
 
     Alternating least squares from random complex Gaussian starts. Each
     restart r draws its start from a Philox generator keyed
@@ -252,15 +252,15 @@ def cpd_als(
 
     The winner is chosen in one of two ways:
 
-    - Noise floor (a MeasurementTensor with noise_var > 0 only). The floor
-      is sqrt(expected_noise_energy), about the residual the true model
-      itself leaves. A restart that stops on rel_tol or on the exact-fit
+    - Noise floor (a tensor with noise_var > 0 only). The floor is
+      sqrt(expected_noise_energy), about the residual the true model
+      itself leaves. A restart that stops on REL_TOL or on the exact-fit
       test with residual <= FLOOR_MARGIN * floor wins at once, and the
       restarts still running are dropped. Every restart that converges there reaches the
       same fit, so more sweeps could only let roundoff choose among equal
       fits; this is the stop of Morozov's discrepancy principle. If several
       restarts qualify in the same sweep, the lowest r wins.
-    - Otherwise (a raw array, noise_var == 0, or no restart converged at the
+    - Otherwise (noise_var == 0, or no restart converged at the
       floor, for instance because each ended at max_sweeps) every restart
       runs to its own stop and the smallest final residual wins, ties going
       to the lowest r.
@@ -289,16 +289,14 @@ def cpd_als(
     Raises
     ------
     ValueError
-        If the tensor is not of order 5 or rank < 1.
+        If rank < 1, or ``start`` does not fit the tensor and rank.
     RankDeficiencyError
         If a mode's least-squares system becomes numerically singular in
         any restart; the message names the restart.
     """
     if opts is None:
         opts = AlsOptions()
-    data = _tensor_data(tensor)
-    if data.ndim != 5:
-        raise ValueError(f"expected an order-5 tensor, got order {data.ndim}")
+    data = tensor.data
     if rank < 1:
         raise ValueError("rank must be at least 1")
     norm_t = float(np.linalg.norm(data))
@@ -394,7 +392,7 @@ def cpd_als(
                 raise AlsMonotonicityError(
                     f"restart {r}: residual rose from {prev:.6e} to {res:.6e} at sweep {sweep}"
                 )
-            if prev - res <= opts.rel_tol * norm_t or res <= 1.0e-13 * norm_t:
+            if prev - res <= REL_TOL * norm_t or res <= 1.0e-13 * norm_t:
                 record(k, converged=True)
                 keep[k] = False
                 if best is None and res <= floor:
@@ -466,8 +464,10 @@ def _mode_gram(data: np.ndarray, mode: int) -> np.ndarray:
     return gram
 
 
-def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RANK) -> int:
-    """Number of rank-1 components distinguishable from the noise floor.
+def select_model_order(tensor: MeasurementTensor,
+                       max_rank: int = DEFAULT_MAX_RANK) -> tuple[int, np.ndarray]:
+    """Number of rank-1 components distinguishable from the noise floor,
+    and the subcarrier-mode Gram's eigenvectors.
 
     For every mode unfolding (an m x n matrix) the noise singular values
     concentrate below sqrt(var_entry) * (sqrt(m) + sqrt(n)), where
@@ -482,18 +482,14 @@ def select_model_order(tensor: MeasurementTensor, max_rank: int = DEFAULT_MAX_RA
 
     The subcarrier mode is counted first, then the spatial modes in order;
     a mode whose dimension m is at most the largest count so far is
-    skipped, as its m singular values cannot count more than m. The answer
+    skipped, as its m singular values cannot count more than m. The count
     is the one a count over every mode gives.
-    """
-    return _model_order(tensor, max_rank)[0]
 
-
-def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """select_model_order's answer, the subcarrier-mode Gram and its eigenvectors.
-
-    The eigenvectors are those of np.linalg.eigh(gram), columns in
-    ascending eigenvalue order: that one decomposition gives both the
-    subcarrier mode's count and the algebraic start's signal subspace.
+    Returns (order, vectors): vectors are the eigenvectors of the
+    subcarrier-mode Gram as np.linalg.eigh returns them, columns in
+    ascending eigenvalue order. That one decomposition gives both the
+    subcarrier mode's count and the algebraic start's signal subspace
+    (see estimate_paths).
     """
     data = tensor.data
     var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
@@ -506,7 +502,6 @@ def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndar
         n = data.size // m
         gram = _mode_gram(data, mode)
         if mode == last:
-            sub_gram = gram
             lam, vectors = np.linalg.eigh(gram)
         else:
             lam = np.linalg.eigvalsh(gram)
@@ -514,7 +509,7 @@ def _model_order(tensor: MeasurementTensor, max_rank: int) -> tuple[int, np.ndar
         edge = np.sqrt(var_entry) * (np.sqrt(m) + np.sqrt(n))
         thr = max(NOISE_MARGIN * edge, REL_FLOOR * sv[-1])
         best = max(best, int(np.sum(sv > thr)))
-    return min(best, max_rank), sub_gram, vectors
+    return min(best, max_rank), vectors
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +632,32 @@ class _AngleAxis:
         return self.corr(sig.conj(), norms)
 
 
-def _extract_angles(factors, codebooks) -> list[tuple[np.ndarray, np.ndarray]]:
-    """extract_angle of each (factor, codebook) pair, in one lockstep search.
+def extract_angle(factors: list[np.ndarray],
+                  codebooks: list[BeamCodebook]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Spatial frequency (radians per element) best explaining each factor column.
 
-    Every column of every factor is scored on the grid against its own
-    codebook's cached signatures (_grid_signature), then refined by one
-    golden-section loop: the brackets and the step bookkeeping of all
-    columns are kept side by side, and each step probes every factor once
-    on its own column views. Each product is thus the one a search over
-    that factor alone makes, and rounds the same. Returns one (omegas,
-    correlations) pair per factor, in order.
+    ``factors`` is a list of (beams, columns) factors and ``codebooks`` the
+    codebook of each, in the same order. Each column u is scored against
+    the beamspace signatures s(omega) of a dense grid of ramps
+    exp(j*omega*n) by the normalized correlation |u^H s(omega)| / (||u||
+    ||s(omega)||), and its winner is refined by golden-section search to
+    1e-6 rad. Returns one (omegas, correlations) pair per factor, in order,
+    one entry per column; the caller decides what correlation is
+    trustworthy. estimate_paths passes a decomposition's four spatial
+    factors.
+
+    All columns of all factors go through every step together: the grid
+    scan scores each factor in one stacked product against its codebook's
+    grid signatures, built once per process (_grid_signature), and one
+    golden-section loop keeps the brackets and step bookkeeping of every
+    column side by side, each step probing each factor once, one omega per
+    column, in one signature build. The columns are stacked as views with
+    their own stride, so each product rounds exactly as the column's own
+    product would, whatever else is searched with it.
     """
+    if len(factors) != len(codebooks):
+        raise ValueError(f"need one codebook per factor, got {len(factors)} factors "
+                         f"and {len(codebooks)} codebooks")
     axes = [_AngleAxis(f, cb) for f, cb in zip(factors, codebooks)]
     ends = np.cumsum([axis.columns for axis in axes]).tolist()
     rows = [slice(end - axis.columns, end) for axis, end in zip(axes, ends)]
@@ -680,28 +690,6 @@ def _extract_angles(factors, codebooks) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(omegas[r], corrs[r]) for r in rows]
 
 
-def extract_angle(factor: np.ndarray, codebook: BeamCodebook) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial frequency (radians per element) best explaining each factor column.
-
-    ``factor`` is (beams, columns). Each column u is scored against the
-    beamspace signatures s(omega) of a dense grid of ramps exp(j*omega*n)
-    by the normalized correlation |u^H s(omega)| / (||u|| ||s(omega)||),
-    and its winner is refined by golden-section search to 1e-6 rad.
-    Returns (omegas, correlations), one entry per column; the caller
-    decides what correlation is trustworthy.
-
-    All columns go through every step together: the grid scan is one
-    stacked product against the codebook's grid signatures, built once
-    per process (_grid_signature), and each golden-section step probes
-    one omega per column in one signature build. The columns are stacked
-    as views with their own stride, so each product rounds exactly as the
-    column's own product would. This is the one-factor case of
-    _extract_angles, which estimate_paths runs on a decomposition's four
-    spatial factors at once.
-    """
-    return _extract_angles([factor], [codebook])[0]
-
-
 def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float:
     """Delay from the shift invariance of the subcarrier ramp.
 
@@ -726,7 +714,7 @@ def _vandermonde_fit(tensor: MeasurementTensor, order: int, vectors: np.ndarray 
     """The polished Vandermonde start if it converges at the noise floor, else None.
 
     ``vectors`` are the subcarrier-mode Gram's eigenvectors (see
-    _model_order), or None to compute them here.
+    select_model_order), or None to compute them here.
     """
     data = tensor.data
     if vectors is None:
@@ -772,9 +760,9 @@ def estimate_paths(
 
     For a tensor with noise_var > 0 the CPD first tries the algebraic
     Vandermonde start (_vandermonde_start, from the subcarrier-mode Gram's
-    eigenvectors that the model-order selection computes) polished by at most
+    eigenvectors that select_model_order returns) polished by at most
     min(2, opts.max_sweeps) sweeps of cpd_als: one to polish, one to give
-    rel_tol its second residual. That fit is kept only if it stops
+    REL_TOL its second residual. That fit is kept only if it stops
     converged with a residual at the noise floor, the rule by which
     cpd_als itself accepts a restart. Otherwise, and whenever the start
     cannot be formed or its polish loses rank, the random restarts of
@@ -784,7 +772,7 @@ def estimate_paths(
         opts = AlsOptions()
     vectors = None
     if rank == "auto":
-        order, _, vectors = _model_order(tensor, max_rank)
+        order, vectors = select_model_order(tensor, max_rank)
     else:
         order = int(rank)
     if order == 0:
@@ -807,7 +795,7 @@ def estimate_paths(
     # per axis, each path's direction cosine and correlation
     cosines = []
     corrs = []
-    found_angles = _extract_angles(cp.factors[:4], [cb for cb, _ in axes])
+    found_angles = extract_angle(cp.factors[:4], [cb for cb, _ in axes])
     for (om, c), (_, scale) in zip(found_angles, axes):
         cosines.append([float(x) / scale for x in om])
         corrs.append(c)

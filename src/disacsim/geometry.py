@@ -25,8 +25,8 @@ estimator actually resolve.
 Each direction rule lives here once, in row form over (k, 3) arrays:
 :func:`row_norms`, :func:`direction_angles`, :func:`fold_forward_rows` and
 :meth:`FoiBounds.contains_angles`. The per-vector
-:func:`angles_from_direction`, :func:`fold_forward` and
-:meth:`FoiBounds.contains` are one-row uses of them.
+:func:`angles_from_direction` and :meth:`FoiBounds.contains` are one-row
+uses of them.
 """
 
 from dataclasses import dataclass
@@ -183,18 +183,14 @@ class FoiBounds:
         )
 
 
-def fold_forward(u) -> np.ndarray:
-    """Mirror a local direction into the forward hemisphere (z >= 0).
+def fold_forward_rows(u) -> np.ndarray:
+    """Mirror each local direction of a (k, 3) array into the forward
+    hemisphere (z >= 0), as a new array.
 
     A planar array resolves only the two in-plane direction cosines, so a
     source behind the panel is indistinguishable from its forward mirror
-    image. This gives the direction the array would report.
+    image. This gives the directions the array would report.
     """
-    return fold_forward_rows(as_vec3(u)[None])[0]
-
-
-def fold_forward_rows(u) -> np.ndarray:
-    """:func:`fold_forward` of each row of a (k, 3) array, as a new array."""
     u = np.array(u, dtype=float)
     u[:, 2] = np.abs(u[:, 2])
     return u

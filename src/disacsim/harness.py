@@ -194,7 +194,7 @@ _BEAM = (_integer(1), {"num": ("num_beams", _integer(1)), "first": ("first_beam"
 _BEAMS_KEYS = {"bs_az": ("tx_az", _BEAM), "bs_el": ("tx_el", _BEAM),
                "ue_az": ("rx_az", _BEAM), "ue_el": ("rx_el", _BEAM)}
 _ARRAY_KEYS = {"n_x": _integer(1), "n_y": _integer(1)}
-_ALS_KEYS = {"restarts": _integer(1), "max_sweeps": _integer(1), "rel_tol": _number}
+_ALS_KEYS = {"restarts": _integer(1), "max_sweeps": _integer(1)}
 _CONFIG_KEYS = {
     "seed": _integer(0),
     "trials": _integer(1),

@@ -12,7 +12,6 @@ from disacsim.geometry import (
     direction_angles,
     direction_cosines,
     direction_from_angles,
-    fold_forward,
     fold_forward_rows,
 )
 from oracles import reference_angles_from_direction
@@ -186,8 +185,8 @@ def test_foi_bounds_validation():
 
 
 def test_fold_forward():
-    np.testing.assert_allclose(fold_forward([0.3, -0.4, -0.5]), [0.3, -0.4, 0.5])
-    np.testing.assert_allclose(fold_forward([0.3, -0.4, 0.5]), [0.3, -0.4, 0.5])
+    np.testing.assert_allclose(fold_forward_rows([[0.3, -0.4, -0.5]])[0], [0.3, -0.4, 0.5])
+    np.testing.assert_allclose(fold_forward_rows([[0.3, -0.4, 0.5]])[0], [0.3, -0.4, 0.5])
     rows = np.array([[0.3, -0.4, -0.5], [0.3, -0.4, 0.5]])
     np.testing.assert_array_equal(fold_forward_rows(rows), [[0.3, -0.4, 0.5]] * 2)
     assert rows[0, 2] == -0.5  # the input is left as it was

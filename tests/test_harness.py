@@ -222,7 +222,6 @@ def test_config_rejects_bad_values():
                                 ("ofdm", "carrier_freq_hz", inf),
                                 ("estimation", "effective_snr_db", nan),
                                 ("estimation", "effective_snr_db", -inf),
-                                ("estimation", "rel_tol", nan),
                                 ("scene", "target_reflectivity_range", [nan, 1]),
                                 ("clustering", "eps_m", inf)]:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a finite number"):
@@ -256,9 +255,9 @@ def test_config_rejects_bad_values():
             scenario_from_dict(
                 {"schema": SCHEMA, "scene": {"ue_box": [corner, [-8.0, 8.0], [1.2, 1.8]]}}
             )
-    # a negative tolerance would silently switch the ALS tolerance stop off
-    with pytest.raises(ConfigError, match=r"^estimation: rel_tol must be a number >= 0"):
-        scenario_from_dict({"schema": SCHEMA, "estimation": {"rel_tol": -1}})
+    # the ALS tolerance is the fixed estimator.REL_TOL, not a setting
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) under estimation: rel_tol$"):
+        scenario_from_dict({"schema": SCHEMA, "estimation": {"rel_tol": 1e-8}})
     # PyYAML reads 100e6 (no dot) as a string; it stays a valid number
     raw = yaml.safe_load(f"schema: {SCHEMA}\nofdm: {{bandwidth_hz: 100e6}}\n")
     assert raw["ofdm"]["bandwidth_hz"] == "100e6"
@@ -276,6 +275,11 @@ def test_load_config(tmp_path):
     bad.write_text("trials: [unclosed\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(str(bad))
+    # an empty file is YAML's null, which reads as an empty mapping
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    with pytest.raises(ConfigError, match="^missing mandatory 'schema'"):
+        load_config(str(empty))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from disacsim.geometry import (
     AnglePair,
     FoiBounds,
     angles_from_direction,
-    fold_forward,
+    fold_forward_rows,
 )
 from disacsim.scene import (
     LABEL_CLUTTER,
@@ -239,9 +239,10 @@ def test_extended_target_validation():
         ([[30.0, 0.0, 1.0], [31.0, 0.0, 1.0]], [1.0, np.nan], "reflectivities must be finite"),
         ([[30.0, 0.0, 1.0]], [np.inf], "reflectivities must be finite"),
         (np.empty((0, 3)), np.empty(0), "a target needs at least one scatter point"),
+        ([[30.0, 0.0, 1.0], [31.0, 0.0, 1.0]], [1.0], "one reflectivity per scatter point required"),
     ],
     ids=["nan-point", "inf-point", "minus-inf-point", "nan-reflectivity", "inf-reflectivity",
-         "no-points"],
+         "no-points", "one-reflectivity-too-few"],
 )
 def test_extended_target_refuses_non_finite_or_empty_input(points, reflectivities, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -264,6 +265,20 @@ def test_scene_rejects_underground_receiver():
             targets=[],
             clutter=[],
         )
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf])
+def test_receiver_refuses_a_non_finite_timing_offset(offset):
+    with pytest.raises(ValueError, match="timing offset must be finite"):
+        ReceiverNode(0, [40, 0, 1.0], BORESIGHT_ALONG_X.copy(), offset,
+                     UpaGeometry(2, 2, 0.01, 0.02))
+
+
+@pytest.mark.parametrize("speed", [0.0, -SPEED_OF_LIGHT])
+def test_scene_refuses_a_speed_of_light_at_or_below_zero(speed):
+    with pytest.raises(ValueError, match="speed of light must be positive"):
+        Scene(tx=TransmitterNode([0, 0, 14], UpaGeometry(2, 2, 0.01, 0.02)), receivers=[],
+              targets=[], clutter=[], speed_of_light=speed)
 
 
 def test_scene_rejects_duplicate_ids_and_positions():
@@ -423,7 +438,7 @@ def test_random_scene_clutter_outside_foi():
         for cl in scene.clutter:
             for rx in scene.receivers:
                 u_local = rx.orientation.T @ (cl.position - rx.position)
-                ang = angles_from_direction(fold_forward(u_local))
+                ang = angles_from_direction(fold_forward_rows(u_local[None])[0])
                 assert not cfg.foi.contains(ang, cfg.foi_margin)
 
 
@@ -434,9 +449,15 @@ def test_random_scene_forced_in_foi_clutter():
         hit = False
         for rx in scene.receivers:
             u_local = rx.orientation.T @ (cl.position - rx.position)
-            ang = angles_from_direction(fold_forward(u_local))
+            ang = angles_from_direction(fold_forward_rows(u_local[None])[0])
             hit = hit or cfg.foi.contains(ang, -cfg.foi_margin)
         assert hit
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, np.nan])
+def test_scene_config_refuses_a_clutter_fraction_outside_the_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"clutter_in_foi_fraction must lie in \[0, 1\]"):
+        _desk_config(clutter_in_foi_fraction=fraction)
 
 
 def test_random_scene_infeasible_raises():

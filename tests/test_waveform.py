@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,21 @@ def test_ofdm_rejects_overfull_grid():
         OfdmConfig(num_subcarriers=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"carrier_freq": 0.0}, "carrier frequency and bandwidth must be positive"),
+        ({"bandwidth": -1.0e6}, "carrier frequency and bandwidth must be positive"),
+        ({"subcarrier_spacing": 0.0}, "subcarrier spacing must be positive"),
+        ({"subcarrier_spacing": -1.5625e6}, "subcarrier spacing must be positive"),
+    ],
+    ids=["zero-carrier", "negative-bandwidth", "zero-spacing", "negative-spacing"],
+)
+def test_ofdm_refuses_a_value_at_or_below_zero(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OfdmConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Codebooks
 # ---------------------------------------------------------------------------
@@ -140,6 +156,14 @@ def test_codebook_equal_norm_enforced():
     # non-orthogonal but equal-norm columns are fine (used for custom fans)
     ok = np.array([[1.0, 1.0], [1.0, 1.0j]], dtype=complex)
     BeamCodebook(matrix=ok, axis="rx_el", beam_indices=(0, 1))
+
+
+def test_codebook_refuses_an_unknown_axis_or_a_matrix_that_is_not_2d():
+    ok = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="axis must be one of"):
+        BeamCodebook(matrix=ok, axis="ue_az", beam_indices=(0, 1))
+    with pytest.raises(ValueError, match="must be 2-D"):
+        BeamCodebook(matrix=np.ones(4, dtype=complex), axis="rx_el", beam_indices=(0,))
 
 
 def test_codebook_set_slot_validation():
@@ -422,7 +446,11 @@ def test_synthesize_rejects_mismatched_arrays():
         tx_el=dft_codebook(4, 2, "tx_el"), tx_az=dft_codebook(4, 2, "tx_az"),
         rx_geom=UpaGeometry(8, 8, 0.01, 0.02), tx_geom=TX_GEOM,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="receiver array differs"):
+        synthesize_tensor(scene, 0, books, OfdmConfig(num_subcarriers=8), noise_seed=0)
+    # the right receiver array, but a transmitter at another wavelength
+    books = replace(small_books(), tx_geom=UpaGeometry(4, 4, 0.01, 0.03))
+    with pytest.raises(ValueError, match="transmitter array differs"):
         synthesize_tensor(scene, 0, books, OfdmConfig(num_subcarriers=8), noise_seed=0)
 
 
@@ -438,12 +466,16 @@ def test_export_load_round_trip(tmp_path):
     tensor = synthesize_tensor(scene, 0, books, ofdm, noise_seed=1, effective_snr_db=30.0)
     prefix = str(tmp_path / "rx0")
     bin_path, json_path = export_tensor(tensor, prefix)
-    header = json.loads(open(json_path).read())
+    with open(json_path) as fh:
+        header = json.load(fh)
     assert header["format"] == "disacsim-tensor/1"
     assert header["shape"] == list(tensor.data.shape)
 
     back = load_tensor(prefix)
     np.testing.assert_array_equal(back.data, tensor.data)
+    # either file's path reads as its prefix
+    for path in (json_path, bin_path):
+        np.testing.assert_array_equal(load_tensor(str(path)).data, tensor.data)
     assert back.noise_var == tensor.noise_var
     assert back.ofdm == tensor.ofdm
     np.testing.assert_array_equal(back.codebooks.rx_el.matrix, books.rx_el.matrix)
@@ -454,6 +486,12 @@ def test_export_load_round_trip(tmp_path):
     with open(json_path, "w") as fh:
         json.dump(header, fh)
     with pytest.raises(ValueError, match="rx_az beam indices"):
+        load_tensor(prefix)
+
+    header["format"] = "disacsim-tensor/2"
+    with open(json_path, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="unrecognized tensor format 'disacsim-tensor/2'"):
         load_tensor(prefix)
 
 
