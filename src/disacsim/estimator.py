@@ -17,7 +17,7 @@ terms, one per propagation path. Estimation proceeds in three steps:
    factors, and a rank-1 split of each of its columns the spatial factors
    (Sorensen & De Lathauwer, IEEE TSP 2013). Two ALS sweeps polish the
    start, which is kept only if it converges at the tensor's expected
-   noise residual (see estimate_paths). Otherwise alternating least
+   noise residual (see cpd_als). Otherwise alternating least
    squares with random restarts runs, stacked on one leading axis and run
    together; each sweep takes the MTTKRPs of all restarts from a
    dimension tree (two GEMMs over the tensor), checks each Gram's
@@ -77,6 +77,9 @@ FLOOR_MARGIN = 1.01
 # an ALS restart has converged once a sweep lowers its residual by at most
 # this share of the tensor's norm
 REL_TOL = 1.0e-8
+# sweeps that polish the algebraic start of cpd_als: one to polish, one to
+# give REL_TOL its second residual
+POLISH_SWEEPS = 2
 
 
 class RankDeficiencyError(RuntimeError):
@@ -93,10 +96,10 @@ class AlsOptions:
 
     The defaults are the stock values of the scenario's estimation section
     and of ``disacsim estimate``; acceptance criterion 2 and the lattice
-    benchmark ask for 5 restarts. estimate_paths runs the restarts only
-    when its algebraic start misses the noise floor (on the lattice
-    tensors it never does; on the stock ones it always does), and polishes
-    that start with min(2, max_sweeps) sweeps. Every restart stops on the
+    benchmark ask for 5 restarts. cpd_als runs the restarts only when its
+    algebraic start is declined (on the lattice tensors it never is; on
+    the stock ones it always is), and polishes that start with
+    min(POLISH_SWEEPS, max_sweeps) sweeps. Every restart stops on the
     fixed tolerance REL_TOL, and cpd_als also stops at the noise floor,
     which it reads from the tensor, not from these options.
     """
@@ -225,14 +228,24 @@ def cpd_als(
     tensor: MeasurementTensor,
     rank: int,
     opts: AlsOptions | None = None,
-    start: list[np.ndarray] | None = None,
+    vectors: np.ndarray | None = None,
 ) -> CpFactors:
     """Rank-``rank`` canonical polyadic decomposition of a measurement tensor.
 
-    Alternating least squares from random complex Gaussian starts. Each
-    restart r draws its start from a Philox generator keyed
-    ``[seed + r, 2]``. These streams are not independent across
-    calls whose seeds lie closer than the restart count: in a trial,
+    ``vectors`` are the subcarrier-mode Gram's eigenvectors, as
+    select_model_order returns them. Given them and a tensor with
+    noise_var > 0, the algebraic Vandermonde start (_vandermonde_start) is
+    tried first and polished by min(POLISH_SWEEPS, opts.max_sweeps)
+    sweeps, and the polish is returned if it stops converged at the noise
+    floor, the rule by which a restart wins below. The start is declined
+    when it cannot be formed, when its polish raises RankDeficiencyError or
+    LinAlgError, or when it misses the floor; the random restarts then run
+    as they would without it.
+
+    The restarts run alternating least squares from random complex
+    Gaussian starts. Each restart r draws its start from a Philox
+    generator keyed ``[seed + r, 2]``. These streams are not independent
+    across calls whose seeds lie closer than the restart count: in a trial,
     harness.receiver_seed gives neighbouring receivers seeds one apart, so
     receiver 0's restart 1 starts where receiver 1's restart 0 does, and
     so on along the diagonal (ROADMAP item 2 gives the restart its own key
@@ -240,15 +253,10 @@ def cpd_als(
     residual of each restart is checked to be non-increasing across sweeps,
     which exact per-mode least squares guarantees up to roundoff.
 
-    ``start`` replaces the random starts by one given start, five (dim_i,
-    rank) factors: the call then runs that single restart, with no Philox
-    draw, and ignores opts.restarts and opts.seed. estimate_paths passes
-    its algebraic Vandermonde start this way.
-
     All restarts run together: every factor is stacked as (K, n_i, L) and
     every Gram as (K, L, L) over the K restarts still running. A restart
     that meets its stopping rule is recorded and leaves the stack; the
-    others go on.
+    others go on. The polish runs the same loop with K = 1.
 
     The winner is chosen in one of two ways:
 
@@ -289,7 +297,7 @@ def cpd_als(
     Raises
     ------
     ValueError
-        If rank < 1, or ``start`` does not fit the tensor and rank.
+        If rank < 1.
     RankDeficiencyError
         If a mode's least-squares system becomes numerically singular in
         any restart; the message names the restart.
@@ -314,31 +322,43 @@ def cpd_als(
             converged=True,
         )
 
+    # residual at or below which a converged restart wins at once
+    floor = _noise_floor(tensor)
+    if vectors is not None and tensor.noise_var > 0.0:
+        try:
+            start = _vandermonde_start(data, rank, vectors)
+            if start is not None:
+                raw, history, converged = _als_sweeps(
+                    data, norm_t, [f[None] for f in start], min(POLISH_SWEEPS, opts.max_sweeps), floor
+                )
+                if converged and history[-1] <= floor:
+                    return _finalize(raw, history, converged)
+        except (RankDeficiencyError, np.linalg.LinAlgError):
+            pass  # declined: the restarts run
+
+    rngs = [
+        np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
+        for restart in range(opts.restarts)
+    ]
+    factors = [
+        np.stack([
+            (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
+            for rng in rngs
+        ])
+        for n in data.shape
+    ]
+    return _finalize(*_als_sweeps(data, norm_t, factors, opts.max_sweeps, floor))
+
+
+def _als_sweeps(data: np.ndarray, norm_t: float, factors: list[np.ndarray], max_sweeps: int,
+                floor: float) -> tuple[list[np.ndarray], list[float], bool]:
+    """The winner's raw factors, residual history and convergence among the
+    stacked ALS restarts from the (K, n_i, L) ``factors`` (see cpd_als)."""
     n_a, n_b, n_c, n_d, n_e = data.shape
     t_mat = data.reshape(-1, n_e)
     norm_sq = norm_t * norm_t
-
-    if start is None:
-        starts = opts.restarts
-        rngs = [
-            np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))
-            for restart in range(starts)
-        ]
-        factors = [
-            np.stack([
-                (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
-                for rng in rngs
-            ])
-            for n in data.shape
-        ]
-    else:
-        if [np.shape(f) for f in start] != [(n, rank) for n in data.shape]:
-            raise ValueError(f"start must be five (dim_i, {rank}) factors of a {data.shape} tensor")
-        starts = 1
-        factors = [np.asarray(f, dtype=complex)[None] for f in start]
+    starts, _, rank = factors[0].shape
     grams = [f.swapaxes(-1, -2).conj() @ f for f in factors]
-    # residual at or below which a converged restart wins at once
-    floor = _noise_floor(tensor)
     best = None
     running = np.arange(starts)
     histories: list[list[float]] = [[] for _ in running]
@@ -349,7 +369,7 @@ def cpd_als(
     def record(k: int, converged: bool):
         done[int(running[k])] = ([f[k] for f in factors], converged)
 
-    for sweep in range(opts.max_sweeps):
+    for sweep in range(max_sweeps):
         n_run = len(running)
         # first pass: contract e, then d, then c out of the tensor
         e_all = factors[4].transpose(1, 0, 2).reshape(n_e, -1)
@@ -411,7 +431,7 @@ def cpd_als(
         # min keeps the first of equal residuals: ties go to the lowest restart
         best = min(range(starts), key=lambda r: histories[r][-1])
     raw, converged = done[best]
-    return _finalize(raw, histories[best], converged)
+    return raw, histories[best], converged
 
 
 def _finalize(factors: list[np.ndarray], history: list[float], converged: bool) -> CpFactors:
@@ -489,7 +509,7 @@ def select_model_order(tensor: MeasurementTensor,
     subcarrier-mode Gram as np.linalg.eigh returns them, columns in
     ascending eigenvalue order. That one decomposition gives both the
     subcarrier mode's count and the algebraic start's signal subspace
-    (see estimate_paths).
+    (see cpd_als).
     """
     data = tensor.data
     var_entry = expected_noise_energy(tensor.codebooks, tensor.ofdm, tensor.noise_var) / data.size
@@ -709,26 +729,6 @@ def extract_delay(factor_column: np.ndarray, subcarrier_spacing: float) -> float
     return 0.0 if tau == period else tau
 
 
-def _vandermonde_fit(tensor: MeasurementTensor, order: int, vectors: np.ndarray | None,
-                     opts: AlsOptions) -> CpFactors | None:
-    """The polished Vandermonde start if it converges at the noise floor, else None.
-
-    ``vectors`` are the subcarrier-mode Gram's eigenvectors (see
-    select_model_order), or None to compute them here.
-    """
-    data = tensor.data
-    if vectors is None:
-        vectors = np.linalg.eigh(_mode_gram(data, data.ndim - 1))[1]
-    try:
-        start = _vandermonde_start(data, order, vectors)
-        if start is None:
-            return None
-        cp = cpd_als(tensor, order, replace(opts, max_sweeps=min(2, opts.max_sweeps)), start=start)
-    except (RankDeficiencyError, np.linalg.LinAlgError):
-        return None
-    return cp if cp.converged and cp.residual <= _noise_floor(tensor) else None
-
-
 @dataclass(frozen=True)
 class EstimatedPath:
     """One recovered path: complex gain, measured delay, local-frame angles.
@@ -758,18 +758,11 @@ def estimate_paths(
     selection returns []. The returned paths are sorted by descending
     |gain| (ties broken by delay).
 
-    For a tensor with noise_var > 0 the CPD first tries the algebraic
-    Vandermonde start (_vandermonde_start, from the subcarrier-mode Gram's
-    eigenvectors that select_model_order returns) polished by at most
-    min(2, opts.max_sweeps) sweeps of cpd_als: one to polish, one to give
-    REL_TOL its second residual. That fit is kept only if it stops
-    converged with a residual at the noise floor, the rule by which
-    cpd_als itself accepts a restart. Otherwise, and whenever the start
-    cannot be formed or its polish loses rank, the random restarts of
-    cpd_als(tensor, order, opts) run as they would without it.
+    The decomposition is one cpd_als call, given the subcarrier-mode
+    Gram's eigenvectors for its algebraic start: those select_model_order
+    returns, or, for an explicit rank on a tensor with noise_var > 0, those
+    of one eigh here.
     """
-    if opts is None:
-        opts = AlsOptions()
     vectors = None
     if rank == "auto":
         order, vectors = select_model_order(tensor, max_rank)
@@ -777,11 +770,9 @@ def estimate_paths(
         order = int(rank)
     if order == 0:
         return []
-    cp = None
-    if tensor.noise_var > 0.0:
-        cp = _vandermonde_fit(tensor, order, vectors, opts)
-    if cp is None:
-        cp = cpd_als(tensor, order, opts)
+    if vectors is None and tensor.noise_var > 0.0:
+        vectors = np.linalg.eigh(_mode_gram(tensor.data, tensor.data.ndim - 1))[1]
+    cp = cpd_als(tensor, order, opts, vectors)
 
     books = tensor.codebooks
     kd_rx = books.rx_geom.phase_scale

@@ -284,6 +284,8 @@ def dbscan(
     in order of each component's smallest core index, so the same point
     set always yields the same labeling.
     """
+    if eps <= 0.0 or min_points < 1:
+        raise ValueError("eps must be positive and min_points at least 1")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
@@ -291,8 +293,6 @@ def dbscan(
     labels = np.full(n, NOISE_LABEL, dtype=int)
     if n == 0:
         return labels
-    if eps <= 0.0 or min_points < 1:
-        raise ValueError("eps must be positive and min_points at least 1")
 
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))

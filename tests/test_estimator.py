@@ -1020,49 +1020,94 @@ def test_degenerate_inputs_decline_the_start():
     assert estimator._vandermonde_start(data, 2, ends) is None
 
 
+def test_each_stock_receiver_makes_one_decomposition_call(monkeypatch):
+    # the start is formed and declined on stock trial 0's receivers: cpd_als
+    # itself falls back to the restarts, so each receiver makes one call, and
+    # that call gets the eigenvectors select_model_order returned
+    config = default_scenario()
+    scene = random_scene(config.scene, config.seed)
+    orders, calls = [], []
+    select, als = estimator.select_model_order, estimator.cpd_als
+
+    def spy_select(*args, **kwargs):
+        orders.append(select(*args, **kwargs))
+        return orders[-1]
+
+    def spy_als(*args, **kwargs):
+        calls.append(args)
+        return als(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "select_model_order", spy_select)
+    monkeypatch.setattr(estimator, "cpd_als", spy_als)
+    for rx in range(len(scene.receivers)):
+        estimate_paths(config.receiver_tensor(scene, rx, config.seed), max_rank=config.max_rank,
+                       opts=replace(config.als, seed=receiver_seed(config.seed, rx)))
+    assert len(calls) == len(orders) == len(scene.receivers)
+    for (_, rank, _, vectors), (order, want) in zip(calls, orders):
+        assert rank == order and vectors is want
+
+
+def spy_on_the_sweeps(monkeypatch):
+    """(stacked starts, sweep cap, sweeps run, converged) of each ALS run."""
+    seen = []
+    sweeps = estimator._als_sweeps
+
+    def recorded(data, norm_t, factors, max_sweeps, floor):
+        raw, history, converged = sweeps(data, norm_t, factors, max_sweeps, floor)
+        seen.append((factors[0].shape[0], max_sweeps, len(history), converged))
+        return raw, history, converged
+
+    monkeypatch.setattr(estimator, "_als_sweeps", recorded)
+    return seen
+
+
 def test_a_start_whose_polish_loses_rank_falls_back_to_the_restarts(monkeypatch):
+    # a start with two equal columns makes the polish's first least-squares
+    # system singular; cpd_als declines it and runs the restarts
     tensor = noisy_rank_three()
+    vectors = select_model_order(tensor)[1]
     opts = AlsOptions(restarts=2, seed=0)
-    calls = []
-    als = estimator.cpd_als
+    start, sweeps = estimator._vandermonde_start, estimator._als_sweeps
+    formed = []
 
-    def singular_polish(tensor, rank, opts=None, start=None):
-        calls.append(start is not None)
-        if start is not None:
-            raise RankDeficiencyError("singular polish")
-        return als(tensor, rank, opts)
+    def twinned(*args):
+        factors = [f.copy() for f in start(*args)]
+        for f in factors:
+            f[:, 1] = f[:, 0]
+        formed.append(factors)
+        return factors
 
-    monkeypatch.setattr(estimator, "cpd_als", singular_polish)
-    got = estimate_paths(tensor, rank=3, opts=opts)
-    assert calls == [True, False]
-    monkeypatch.setattr(estimator, "cpd_als", als)
+    monkeypatch.setattr(estimator, "_vandermonde_start", twinned)
+    seen = spy_on_the_sweeps(monkeypatch)
+    got = cpd_als(tensor, 3, opts, vectors)
+    # the start was formed, and its polish raised before it could be
+    # recorded: only the restarts ran
+    assert len(formed) == 1 and [s[:2] for s in seen] == [(2, opts.max_sweeps)]
+    with pytest.raises(RankDeficiencyError):
+        sweeps(tensor.data, np.linalg.norm(tensor.data), [f[None] for f in formed[0]], 2, np.inf)
     decline_the_start(monkeypatch)
-    assert got == estimate_paths(tensor, rank=3, opts=opts)
+    for want in (cpd_als(tensor, 3, opts, vectors), cpd_als(tensor, 3, opts)):
+        assert got.residual_history == want.residual_history and got.converged == want.converged
+        for x, y in zip(got.factors + [got.gains], want.factors + [want.gains]):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_the_polished_start_is_kept_only_when_it_converges_at_the_floor(monkeypatch):
     tensor, _ = lattice_tensor((1, 0))
-    seen = []
-    als = estimator.cpd_als
-
-    def recorded(tensor, rank, opts=None, start=None):
-        cp = als(tensor, rank, opts, start=start)
-        seen.append((start is not None, opts.max_sweeps, cp.sweeps, cp.converged))
-        return cp
-
-    monkeypatch.setattr(estimator, "cpd_als", recorded)
-    estimate_paths(tensor, opts=AlsOptions(restarts=5, seed=1000))
-    assert seen == [(True, 2, 2, True)]
+    order, vectors = select_model_order(tensor)
+    seen = spy_on_the_sweeps(monkeypatch)
+    cp = cpd_als(tensor, order, AlsOptions(restarts=5, seed=1000), vectors)
+    assert seen == [(1, 2, 2, True)] and cp.sweeps == 2 and cp.converged
     seen.clear()
-    estimate_paths(tensor, opts=AlsOptions(max_sweeps=1, restarts=5, seed=1000))
+    cpd_als(tensor, order, AlsOptions(max_sweeps=1, restarts=5, seed=1000), vectors)
     # one sweep leaves REL_TOL no second residual, so the restarts run
-    assert [s[:2] for s in seen] == [(True, 1), (False, 1)]
+    assert [s[:2] for s in seen] == [(1, 1), (5, 1)]
     seen.clear()
     # a header that understates the noise puts the floor below the fit:
     # the polish still converges, above the floor, so the restarts run
-    estimate_paths(replace(tensor, noise_var=tensor.noise_var / 4.0),
-                   rank=4, opts=AlsOptions(restarts=5, seed=1000))
-    assert [s[0] for s in seen] == [True, False] and seen[0][3]
+    cpd_als(replace(tensor, noise_var=tensor.noise_var / 4.0), 4, AlsOptions(restarts=5, seed=1000),
+            vectors)
+    assert [s[:2] for s in seen] == [(1, 2), (5, 300)] and seen[0][3]
 
 
 def test_estimate_paths_runs_each_public_stage_once(monkeypatch):
@@ -1095,15 +1140,6 @@ def test_the_start_has_pure_ramp_subcarrier_columns():
     order, vectors = select_model_order(tensor)
     e = estimator._vandermonde_start(tensor.data, order, vectors)[4]
     np.testing.assert_allclose(np.abs(e), np.abs(e[:1]) * np.ones_like(np.abs(e)), rtol=1e-12)
-
-
-def test_cpd_als_refuses_a_start_of_the_wrong_shape():
-    tensor, _ = planted_tensor(1, [1.0])
-    start = [np.ones((n, 2), dtype=complex) for n in tensor.data.shape]
-    with pytest.raises(ValueError, match="start must be five"):
-        cpd_als(tensor, 1, start=start)
-    with pytest.raises(ValueError, match="start must be five"):
-        cpd_als(tensor, 2, start=start[:4])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -865,6 +865,8 @@ def _tiny_mc():
 
 def test_write_csv_schema(tmp_path):
     mc = _tiny_mc()
+    # a trial without an outcome for the mode writes no row for it
+    mc.trials.append(TrialResult(trial=1, seed=10, outcomes={}, num_paths={}, skipped_receivers={}))
     path = tmp_path / "out.csv"
     write_csv(mc, str(path))
     with open(path, newline="") as fh:
@@ -886,6 +888,8 @@ def test_to_json_deterministic_and_writers(tmp_path):
     parsed = json.loads(mc.to_json())
     assert parsed["modes"] == ["disac"]
     assert "runtimes" not in json.dumps(parsed)
+    trial = mc.trials[0]
+    assert trial.outcomes["disac"].to_dict() == trial.canonical_dict()["outcomes"]["disac"]
     out = tmp_path / "results.json"
     write_results(mc, str(out))
     text = out.read_text()

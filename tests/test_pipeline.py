@@ -374,6 +374,10 @@ def test_dbscan_empty_and_validation():
         dbscan(np.zeros((3, 2)), eps=0.0, min_points=2)
     with pytest.raises(ValueError):
         dbscan(np.zeros((3, 2)), eps=1.0, min_points=0)
+    # an empty point set does not excuse bad parameters
+    for eps, min_points in [(-1.0, 0), (0.0, 2), (1.0, 0)]:
+        with pytest.raises(ValueError, match="eps must be positive"):
+            dbscan(np.empty((0, 3)), eps=eps, min_points=min_points)
 
 
 def test_dbscan_border_tie_takes_lower_label():

@@ -283,6 +283,10 @@ def test_path_beam_factors_consistent_with_tensor():
         "a,b,c,d,e->abcde", *fs, optimize=True
     )
     np.testing.assert_allclose(tensor_from_paths([p], books, ofdm), manual, atol=1e-12)
+    # no paths: the zero tensor of the same shape
+    empty = tensor_from_paths([], books, ofdm)
+    assert empty.shape == manual.shape == books.beam_shape + (ofdm.num_subcarriers,)
+    assert empty.dtype == complex and not empty.any()
 
 
 def test_measurement_tensor_shape_validation():
