@@ -47,6 +47,7 @@ from .pipeline import (
     dbscan,
     identify_los,
     localize_single,
+    pick_direct_path,
     process_receiver,
     unwrap_delays,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "load_config",
     "load_tensor",
     "localize_single",
+    "pick_direct_path",
     "process_receiver",
     "random_scene",
     "run_fusion",

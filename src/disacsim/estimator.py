@@ -15,15 +15,14 @@ terms, one per propagation path. Estimation proceeds in three steps:
    TASSP 1989) on the signal subspace of that mode gives its generators,
    a least-squares solve the Khatri-Rao product of the four spatial
    factors, and a rank-1 split of each of its columns the spatial factors
-   (Sorensen & De Lathauwer, IEEE TSP 2013). Two ALS sweeps polish the
-   start, which is kept only if it converges at the tensor's expected
-   noise residual (see cpd_als). Otherwise alternating least
-   squares with random restarts runs, stacked on one leading axis and run
-   together; each sweep takes the MTTKRPs of all restarts from a
-   dimension tree (two GEMMs over the tensor), checks each Gram's
-   condition from its eigenvalues, and takes its residual from the norm
-   identity, or directly near an exact fit; the first restart to converge
-   at the tensor's expected noise residual ends the decomposition;
+   (Sorensen & De Lathauwer, IEEE TSP 2013). Alternating least squares
+   runs from that start to its own stop, and its result stands. Only when
+   no start can be formed do random restarts run instead, stacked on one
+   leading axis and run together; the first restart to converge at the
+   tensor's expected noise residual ends the decomposition. Each sweep
+   takes its MTTKRPs from a dimension tree (two GEMMs over the tensor),
+   checks each Gram's condition from its eigenvalues, and takes its
+   residual from the norm identity, or directly near an exact fit;
 3. per-path parameter extraction from the factor columns: each spatial
    column is matched against the beamspace signature of a phase ramp
    (extract_angle: a dense grid scan against signatures built once per
@@ -74,12 +73,9 @@ ANGLE_GRID_POINTS = 2048
 # a restart of cpd_als that converges within this factor of the tensor's
 # expected noise residual ends the call: the other restarts could only tie it
 FLOOR_MARGIN = 1.01
-# an ALS restart has converged once a sweep lowers its residual by at most
-# this share of the tensor's norm
+# an ALS run has converged once a sweep lowers its residual by at most this
+# share of the tensor's norm
 REL_TOL = 1.0e-8
-# sweeps that polish the algebraic start of cpd_als: one to polish, one to
-# give REL_TOL its second residual
-POLISH_SWEEPS = 2
 
 
 class RankDeficiencyError(RuntimeError):
@@ -96,12 +92,12 @@ class AlsOptions:
 
     The defaults are the stock values of the scenario's estimation section
     and of ``disacsim estimate``; acceptance criterion 2 and the lattice
-    benchmark ask for 5 restarts. cpd_als runs the restarts only when its
-    algebraic start is declined (on the lattice tensors it never is; on
-    the stock ones it always is), and polishes that start with
-    min(POLISH_SWEEPS, max_sweeps) sweeps. Every restart stops on the
-    fixed tolerance REL_TOL, and cpd_als also stops at the noise floor,
-    which it reads from the tensor, not from these options.
+    benchmark ask for 5 restarts. cpd_als runs the restarts only when no
+    algebraic start can be formed (on the stock and lattice tensors one
+    always can), and runs that start for up to max_sweeps sweeps. Every
+    run stops on the fixed tolerance REL_TOL; among the restarts cpd_als
+    also stops at the noise floor, which it reads from the tensor, not
+    from these options.
     """
 
     max_sweeps: int = 300
@@ -235,12 +231,11 @@ def cpd_als(
     ``vectors`` are the subcarrier-mode Gram's eigenvectors, as
     select_model_order returns them. Given them and a tensor with
     noise_var > 0, the algebraic Vandermonde start (_vandermonde_start) is
-    tried first and polished by min(POLISH_SWEEPS, opts.max_sweeps)
-    sweeps, and the polish is returned if it stops converged at the noise
-    floor, the rule by which a restart wins below. The start is declined
-    when it cannot be formed, when its polish raises RankDeficiencyError or
-    LinAlgError, or when it misses the floor; the random restarts then run
-    as they would without it.
+    formed first, and ALS runs from it for up to opts.max_sweeps sweeps,
+    stopping on REL_TOL; that run is returned, converged or not. Only when
+    no start can be formed (_vandermonde_start returns None, or forming or
+    running it raises RankDeficiencyError or LinAlgError) do the random
+    restarts run, as they would without it.
 
     The restarts run alternating least squares from random complex
     Gaussian starts. Each restart r draws its start from a Philox
@@ -248,15 +243,15 @@ def cpd_als(
     across calls whose seeds lie closer than the restart count: in a trial,
     harness.receiver_seed gives neighbouring receivers seeds one apart, so
     receiver 0's restart 1 starts where receiver 1's restart 0 does, and
-    so on along the diagonal (ROADMAP item 2 gives the restart its own key
-    word, which moves every canonical digest). The
-    residual of each restart is checked to be non-increasing across sweeps,
-    which exact per-mode least squares guarantees up to roundoff.
+    so on along the diagonal; no stock or lattice tensor runs the restarts,
+    as a start can be formed on each. The residual of every run is checked
+    to be non-increasing across sweeps, which exact per-mode least squares
+    guarantees up to roundoff.
 
     All restarts run together: every factor is stacked as (K, n_i, L) and
     every Gram as (K, L, L) over the K restarts still running. A restart
     that meets its stopping rule is recorded and leaves the stack; the
-    others go on. The polish runs the same loop with K = 1.
+    others go on. The run from the start is the same loop with K = 1.
 
     The winner is chosen in one of two ways:
 
@@ -328,13 +323,11 @@ def cpd_als(
         try:
             start = _vandermonde_start(data, rank, vectors)
             if start is not None:
-                raw, history, converged = _als_sweeps(
-                    data, norm_t, [f[None] for f in start], min(POLISH_SWEEPS, opts.max_sweeps), floor
-                )
-                if converged and history[-1] <= floor:
-                    return _finalize(raw, history, converged)
+                return _finalize(*_als_sweeps(
+                    data, norm_t, [f[None] for f in start], opts.max_sweeps, floor
+                ))
         except (RankDeficiencyError, np.linalg.LinAlgError):
-            pass  # declined: the restarts run
+            pass  # no start: the restarts run
 
     rngs = [
         np.random.Generator(np.random.Philox(key=[opts.seed + restart, 2]))

@@ -2,15 +2,15 @@
 
 Stages, in order:
 
-1. unwrap_delays -- measured delays are only known modulo 1/spacing, and
-   a clock offset can push the direct path across the wrap boundary.
-   All delays are shifted into one period anchored just below the
-   strongest path.
-2. identify_los -- pick the direct path (minimum delay among the
-   strongest quartile) and flag ambiguous calls. In beamspace the direct
-   path is often only the 2nd to 4th strongest, and on the stock
-   50-trial sweep this pick is wrong on 22 of 100 receivers (ROADMAP
-   item 1).
+1. pick_direct_path -- the direct path is the one whose arrival
+   direction is the one its departure direction predicts at this
+   receiver, the direct-path geometry of mmWave position and orientation
+   estimation (Shahmansoori et al., IEEE TWC 2018).
+2. delay anchoring -- measured delays are only known modulo 1/spacing,
+   and a clock offset can push the direct path across the wrap boundary.
+   All delays are shifted into one period that starts
+   ANCHOR_SLACK_FRACTION of a period below the direct path, which every
+   bounce of the same receiver trails in true delay.
 3. clutter_filter -- drop paths arriving from outside the receiver's
    field of interest; the direct path is exempt.
 4. localize_single -- per-receiver weighted least squares turning each
@@ -23,7 +23,10 @@ Stages, in order:
    receivers and hand the grouping to the fusion center.
 
 process_receiver runs stages 1-4 for one receiver and reports the
-stage-labelled reason when the receiver has to be skipped.
+stage-labelled reason when the receiver has to be skipped. unwrap_delays
+and identify_los are the older gain-based rules for stages 1-2 (anchor at
+the strongest path, earliest of the strongest quartile); process_receiver
+does not use them.
 """
 
 import logging
@@ -39,17 +42,21 @@ from .fusion import (
     SceneEstimate,
     run_fusion,
 )
-from .geometry import BORESIGHT_ALONG_X, FoiBounds, direction_from_angles
+from .geometry import BORESIGHT_ALONG_X, FoiBounds, direction_cosines, direction_from_angles
 from .scene import Scene
 from .waveform import OfdmConfig
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_EPS_M = 2.0
-DEFAULT_MIN_POINTS = 2
+# one point is a cluster: the estimator reports one path per return, so a
+# single-receiver mode has one point per target
+DEFAULT_MIN_POINTS = 1
 NOISE_LABEL = -1
 LOS_QUANTILE = 0.75
 UNWRAP_SLACK_FRACTION = 0.25
+# process_receiver's delay period starts this share of it below the direct path
+ANCHOR_SLACK_FRACTION = 0.01
 
 
 class LosIdentificationError(RuntimeError):
@@ -63,6 +70,11 @@ class LocalizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Delay unwrapping and LoS identification
 # ---------------------------------------------------------------------------
+
+
+def _wrap_delays(paths: list[EstimatedPath], lo: float, delay_period: float) -> list[EstimatedPath]:
+    """The paths with every delay moved into [lo, lo + delay_period)."""
+    return [replace(p, delay=lo + (p.delay - lo) % delay_period) for p in paths]
 
 
 def unwrap_delays(paths: list[EstimatedPath], delay_period: float) -> list[EstimatedPath]:
@@ -82,8 +94,7 @@ def unwrap_delays(paths: list[EstimatedPath], delay_period: float) -> list[Estim
     if delay_period <= 0.0:
         raise ValueError("delay_period must be positive")
     ref = max(paths, key=lambda p: abs(p.gain)).delay
-    lo = ref - UNWRAP_SLACK_FRACTION * delay_period
-    return [replace(p, delay=lo + (p.delay - lo) % delay_period) for p in paths]
+    return _wrap_delays(paths, ref - UNWRAP_SLACK_FRACTION * delay_period, delay_period)
 
 
 def identify_los(
@@ -113,6 +124,27 @@ def identify_los(
         for i in candidates
     )
     return best, ambiguous
+
+
+def pick_direct_path(paths: list[EstimatedPath], rx_orientation) -> int:
+    """Index of the path whose arrival direction best matches its departure.
+
+    A direct path leaves the transmitter along u_bs and reaches the
+    receiver from -u_bs, so in the receiver's local frame it arrives from
+    R^T(-u_bs), R the receiver orientation. Each path's mismatch is the
+    distance between the two element-axis components of that prediction
+    and its estimated arrival direction cosines (the array tells only
+    those two apart); the smallest mismatch wins, ties going to the lower
+    index. A bounce arrives from its scatterer, not from the transmitter,
+    so this needs neither gains nor delays.
+    """
+    if not paths:
+        raise LosIdentificationError("no paths to choose a direct path from")
+    u_bs = np.stack([BORESIGHT_ALONG_X @ direction_from_angles(p.aod) for p in paths])
+    predicted = -u_bs @ np.asarray(rx_orientation, dtype=float)  # rows R^T(-u_bs)
+    cosines = np.array([direction_cosines(p.aoa) for p in paths])
+    mismatch = np.hypot(*(predicted[:, :2] - cosines).T)
+    return int(np.argmin(mismatch))
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +268,18 @@ def process_receiver(
     """Stages 1-4 for one receiver, once per weighting.
 
     Returns (results by weighting, skip reason). The reason is None unless
-    the receiver is lost: "pipeline: ..." when unwrapping, the direct-path
-    pick or the clutter filter fails, and "localization: ..." (the last
-    failure) when no weighting localizes it.
+    the receiver is lost: "pipeline: ..." when the direct-path pick, the
+    delay anchoring or the clutter filter fails, and "localization: ..."
+    (the last failure) when no weighting localizes it.
     """
     rx = scene.receiver(ue_id)
+    period = ofdm.delay_period
     try:
-        unwrapped = unwrap_delays(paths, ofdm.delay_period)
-        los_idx, ambiguous = identify_los(unwrapped, ofdm.delay_resolution)
-        if ambiguous:
-            logger.debug("receiver %d: ambiguous direct-path pick", ue_id)
-        kept = clutter_filter(unwrapped, foi, los_index=los_idx)
-        filtered = [unwrapped[i] for i in kept]
+        los_idx = pick_direct_path(paths, rx.orientation)
+        lo = paths[los_idx].delay - ANCHOR_SLACK_FRACTION * period
+        anchored = _wrap_delays(paths, lo, period)
+        kept = clutter_filter(anchored, foi, los_index=los_idx)
+        filtered = [anchored[i] for i in kept]
         new_los = kept.index(los_idx)
     except Exception as exc:
         return {}, f"pipeline: {exc}"

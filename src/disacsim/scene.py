@@ -33,7 +33,7 @@ logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-# Philox stream ids (second key word) used by this module.
+# Philox stream ids (low byte of the second key word) used by this module.
 _STREAM_PATH_PHASE = 7
 
 DEFAULT_FOI = FoiBounds(np.deg2rad(60.0), np.deg2rad(30.0))  # +-60 deg az, +-30 deg el
@@ -293,12 +293,10 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     model: lambda / (4*pi*r) for the direct path and
     reflectivity * lambda / (4*pi*(r + d)) for bounced paths, where r and
     d are the two hop lengths. Phases are uniform, drawn from a Philox
-    generator keyed ``[scene.phase_seed + rx_id, 7]``, so repeated calls
-    are reproducible. The key adds the receiver id to the seed, and
-    random_scene sets phase_seed to the trial seed, so trial t's receiver 1
-    draws the phases of trial t+1's receiver 0, and so on along the
-    diagonal (ROADMAP item 2 gives each index its own key word, which
-    moves every canonical digest).
+    generator keyed ``[scene.phase_seed, (rx_id << 8) | 7]``, so repeated
+    calls are reproducible. The receiver id has its own bits in the second
+    key word, apart from the seed, so no two (phase_seed, rx_id) pairs
+    share a stream (random_scene sets phase_seed to the trial seed).
 
     All paths are computed together, as arrays with one row per path, and
     equal a path-by-path computation bit for bit (one phase draw per path,
@@ -317,7 +315,7 @@ def generate_ground_truth_paths(scene: Scene, rx_id: int) -> list[PathRecord]:
     tx = scene.tx.position
     lam = scene.tx.array.wavelength
     rng = np.random.Generator(
-        np.random.Philox(key=[scene.phase_seed + rx_id, _STREAM_PATH_PHASE])
+        np.random.Philox(key=[scene.phase_seed, (rx_id << 8) | _STREAM_PATH_PHASE])
     )
     points = np.concatenate(
         [t.scatter_points for t in scene.targets]
@@ -413,9 +411,9 @@ class SceneConfig:
     target_reflectivity_range: tuple[float, float] = (0.5, 2.0)
     # clutter stays at or below 1, so a single bounce never out-gains the
     # direct path in element-space amplitude (triangle inequality); the
-    # beamspace |gain| that the direct-path pick ranks mixes in the beam
-    # patterns, and there the direct path is often only the 2nd to 4th
-    # strongest (ROADMAP item 1)
+    # estimated beamspace |gain| mixes in the beam patterns, and there the
+    # direct path is often only the 2nd to 4th strongest, which is why
+    # pipeline.pick_direct_path goes by geometry, not by gain
     clutter_reflectivity_range: tuple[float, float] = (0.3, 1.0)
     max_attempts: int = 2000
 

@@ -345,7 +345,7 @@ def reference_ground_truth_paths(scene, rx_id):
     tx = scene.tx.position
     lam = scene.tx.array.wavelength
     rng = np.random.Generator(
-        np.random.Philox(key=[scene.phase_seed + rx_id, _STREAM_PATH_PHASE])
+        np.random.Philox(key=[scene.phase_seed, (rx_id << 8) | _STREAM_PATH_PHASE])
     )
 
     def local(direction, orientation):

@@ -986,7 +986,7 @@ def equal_delay_tensor():
     return MeasurementTensor(data=sig + noise, codebooks=books, ofdm=ofdm, noise_var=var)
 
 
-def test_a_start_that_misses_the_floor_leaves_the_restarts_result_unchanged(monkeypatch):
+def test_an_unconverged_start_run_stands_and_the_restarts_stay_idle(monkeypatch):
     config = default_scenario()
     scene = random_scene(config.scene, config.seed)
     cases = [
@@ -995,16 +995,15 @@ def test_a_start_that_misses_the_floor_leaves_the_restarts_result_unchanged(monk
         for rx in range(len(scene.receivers))
     ]
     cases.append((equal_delay_tensor(), 2, DEFAULT_MAX_RANK, AlsOptions(restarts=2, seed=0)))
-    formed = []
-    start = estimator._vandermonde_start
-    monkeypatch.setattr(estimator, "_vandermonde_start",
-                        lambda *args: formed.append(start(*args)) or formed[-1])
+    seen = spy_on_the_sweeps(monkeypatch)
     with_start = [estimate_paths(t, rank=r, opts=o, max_rank=m) for t, r, m, o in cases]
-    # every start was formed and polished, and none was kept
-    assert len(formed) == len(cases) and all(f is not None for f in formed)
+    # one run per case, from the start, with the whole sweep budget; stock
+    # trial 0's runs end at the cap, unconverged, and their results stand
+    assert [s[:2] for s in seen] == [(1, o.max_sweeps) for *_, o in cases]
+    assert [s[2:] for s in seen[:2]] == [(config.als.max_sweeps, False)] * 2
     decline_the_start(monkeypatch)
     without = [estimate_paths(t, rank=r, opts=o, max_rank=m) for t, r, m, o in cases]
-    assert with_start == without
+    assert with_start != without
 
 
 def test_degenerate_inputs_decline_the_start():
@@ -1021,9 +1020,8 @@ def test_degenerate_inputs_decline_the_start():
 
 
 def test_each_stock_receiver_makes_one_decomposition_call(monkeypatch):
-    # the start is formed and declined on stock trial 0's receivers: cpd_als
-    # itself falls back to the restarts, so each receiver makes one call, and
-    # that call gets the eigenvectors select_model_order returned
+    # each receiver makes one cpd_als call, and that call gets the
+    # eigenvectors select_model_order returned
     config = default_scenario()
     scene = random_scene(config.scene, config.seed)
     orders, calls = [], []
@@ -1062,8 +1060,8 @@ def spy_on_the_sweeps(monkeypatch):
 
 
 def test_a_start_whose_polish_loses_rank_falls_back_to_the_restarts(monkeypatch):
-    # a start with two equal columns makes the polish's first least-squares
-    # system singular; cpd_als declines it and runs the restarts
+    # a start with two equal columns makes the first least-squares system of
+    # its run singular; cpd_als then runs the restarts
     tensor = noisy_rank_three()
     vectors = select_model_order(tensor)[1]
     opts = AlsOptions(restarts=2, seed=0)
@@ -1080,8 +1078,8 @@ def test_a_start_whose_polish_loses_rank_falls_back_to_the_restarts(monkeypatch)
     monkeypatch.setattr(estimator, "_vandermonde_start", twinned)
     seen = spy_on_the_sweeps(monkeypatch)
     got = cpd_als(tensor, 3, opts, vectors)
-    # the start was formed, and its polish raised before it could be
-    # recorded: only the restarts ran
+    # the start was formed, and its run raised before it could be recorded:
+    # only the restarts ran
     assert len(formed) == 1 and [s[:2] for s in seen] == [(2, opts.max_sweeps)]
     with pytest.raises(RankDeficiencyError):
         sweeps(tensor.data, np.linalg.norm(tensor.data), [f[None] for f in formed[0]], 2, np.inf)
@@ -1092,28 +1090,57 @@ def test_a_start_whose_polish_loses_rank_falls_back_to_the_restarts(monkeypatch)
             np.testing.assert_array_equal(x, y)
 
 
-def test_the_polished_start_is_kept_only_when_it_converges_at_the_floor(monkeypatch):
+def test_the_start_runs_to_its_own_stop_and_stands(monkeypatch):
     tensor, _ = lattice_tensor((1, 0))
     order, vectors = select_model_order(tensor)
     seen = spy_on_the_sweeps(monkeypatch)
     cp = cpd_als(tensor, order, AlsOptions(restarts=5, seed=1000), vectors)
-    assert seen == [(1, 2, 2, True)] and cp.sweeps == 2 and cp.converged
+    # REL_TOL stops the run after its second sweep
+    assert seen == [(1, 300, 2, True)] and cp.sweeps == 2 and cp.converged
     seen.clear()
-    cpd_als(tensor, order, AlsOptions(max_sweeps=1, restarts=5, seed=1000), vectors)
-    # one sweep leaves REL_TOL no second residual, so the restarts run
-    assert [s[:2] for s in seen] == [(1, 1), (5, 1)]
+    # one sweep leaves REL_TOL no second residual: the run ends at the cap,
+    # unconverged, and still stands
+    cp = cpd_als(tensor, order, AlsOptions(max_sweeps=1, restarts=5, seed=1000), vectors)
+    assert seen == [(1, 1, 1, False)] and cp.sweeps == 1 and not cp.converged
     seen.clear()
-    # a header that understates the noise puts the floor below the fit:
-    # the polish still converges, above the floor, so the restarts run
-    cpd_als(replace(tensor, noise_var=tensor.noise_var / 4.0), 4, AlsOptions(restarts=5, seed=1000),
-            vectors)
-    assert [s[:2] for s in seen] == [(1, 2), (5, 300)] and seen[0][3]
+    # a header that understates the noise puts the floor below the fit: the
+    # run converges above it, and it still stands
+    understated = replace(tensor, noise_var=tensor.noise_var / 4.0)
+    cp = cpd_als(understated, 4, AlsOptions(restarts=5, seed=1000), vectors)
+    assert seen == [(1, 300, 2, True)] and cp.residual > estimator._noise_floor(understated)
+
+
+def test_each_stock_receiver_runs_als_once_from_the_start(monkeypatch):
+    config = default_scenario()
+    scene = random_scene(config.scene, config.seed)
+    starts, runs = [], []
+    start, sweeps = estimator._vandermonde_start, estimator._als_sweeps
+
+    def spy_start(*args):
+        starts.append(start(*args))
+        return starts[-1]
+
+    def spy_sweeps(data, norm_t, factors, max_sweeps, floor):
+        runs.append(([f.copy() for f in factors], max_sweeps))
+        return sweeps(data, norm_t, factors, max_sweeps, floor)
+
+    monkeypatch.setattr(estimator, "_vandermonde_start", spy_start)
+    monkeypatch.setattr(estimator, "_als_sweeps", spy_sweeps)
+    for rx in range(len(scene.receivers)):
+        estimate_paths(config.receiver_tensor(scene, rx, config.seed), max_rank=config.max_rank,
+                       opts=replace(config.als, seed=receiver_seed(config.seed, rx)))
+    assert len(runs) == len(starts) == len(scene.receivers)
+    for (factors, max_sweeps), formed in zip(runs, starts):
+        assert max_sweeps == config.als.max_sweeps
+        assert len(factors) == len(formed)
+        for f, want in zip(factors, formed):
+            np.testing.assert_array_equal(f, want[None])
 
 
 def test_estimate_paths_runs_each_public_stage_once(monkeypatch):
     # estimate_paths looks its stages up by their public names, so a wrapper
     # around one (this spy, or a tracer's) sees every call: one model order,
-    # one decomposition (the kept polish of the algebraic start) and one
+    # one decomposition (ALS from the algebraic start) and one
     # angle search over the four spatial factors
     calls = []
 

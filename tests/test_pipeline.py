@@ -22,6 +22,7 @@ from disacsim.geometry import (
     direction_from_angles,
 )
 from disacsim.pipeline import (
+    ANCHOR_SLACK_FRACTION,
     NOISE_LABEL,
     LocalizationError,
     LosIdentificationError,
@@ -31,6 +32,7 @@ from disacsim.pipeline import (
     identify_los,
     localize_single,
     path_directions,
+    pick_direct_path,
     process_receiver,
     unwrap_delays,
 )
@@ -44,7 +46,7 @@ from disacsim.scene import (
     UpaGeometry,
     random_scene,
 )
-from disacsim.waveform import OfdmConfig
+from disacsim.waveform import OfdmConfig, path_beam_factors
 
 ANG = AnglePair(0.1, 0.2)
 PERIOD = 640e-9  # 64 subcarriers at 1.5625 MHz
@@ -116,6 +118,79 @@ def test_identify_los_flags_near_tie():
 def test_identify_los_empty():
     with pytest.raises(LosIdentificationError):
         identify_los([], 10e-9)
+
+
+def noisy_stock_paths(scene, rx_id, books, ofdm, rng, angle_sd=0.0):
+    """Oracle paths with the beamspace gains the estimator reports (|gain|
+    times each signature's norm), 0.3 ns of delay noise and ``angle_sd`` rad
+    on each angle, delays read modulo the period."""
+    paths = []
+    for p in exact_paths(scene, rx_id):
+        norms = [np.linalg.norm(f) for f in path_beam_factors(p, books, ofdm)]
+        jitter = rng.normal(0.0, angle_sd, 4)
+        paths.append(replace(
+            p, gain=complex(p.gain * np.prod(norms)),
+            delay=(p.delay + rng.normal(0.0, 0.3e-9)) % ofdm.delay_period,
+            aoa=AnglePair(p.aoa.azimuth + jitter[0], p.aoa.elevation + jitter[1]),
+            aod=AnglePair(p.aod.azimuth + jitter[2], p.aod.elevation + jitter[3]),
+        ))
+    return paths
+
+
+def test_pick_direct_path_finds_it_among_permuted_paths():
+    scene = _two_target_scene()
+    rot = scene.receivers[0].orientation
+    paths = exact_paths(scene, 0)
+    for shift in range(len(paths)):
+        turned = paths[shift:] + paths[:shift]
+        assert pick_direct_path(turned, rot) == (len(paths) - shift) % len(paths)
+    # equal mismatches go to the lower index
+    assert pick_direct_path([paths[0], paths[1], paths[0]], rot) == 0
+    with pytest.raises(LosIdentificationError, match="no paths to choose a direct path from"):
+        pick_direct_path([], rot)
+
+
+def test_the_seed_22_reflection_behind_the_direct_path_is_not_picked():
+    # receiver 0 of stock scene 22 has a reflection 0.54 ns behind its direct
+    # path; with 0.3 ns of delay noise the quartile rule picks it, and the
+    # direct path, filed as a reflection, made the solve singular
+    cfg = default_scenario()
+    scene = random_scene(cfg.scene, 22)
+    rx = scene.receiver(0)
+    rng = np.random.default_rng(0)
+    period = cfg.ofdm.delay_period
+    paths = [replace(p, delay=(p.delay + rng.normal(0.0, 0.3e-9)) % period)
+             for p in exact_paths(scene, 0)]
+    assert identify_los(unwrap_delays(paths, period), cfg.ofdm.delay_resolution) == (9, True)
+    assert pick_direct_path(paths, rx.orientation) == 0
+    results, reason = process_receiver(paths, 0, scene, cfg.ofdm, cfg.scene.foi, ["ls", "wls"])
+    assert reason is None and sorted(results) == ["ls", "wls"]
+    for res in results.values():
+        assert np.linalg.norm(res.estimate.ue_positions[0] - rx.position) < 0.01
+
+
+def test_the_pick_holds_on_the_stock_receivers_the_quartile_rule_misses():
+    cfg = default_scenario()
+    misses = []
+    for seed in range(50):
+        scene = random_scene(cfg.scene, seed)
+        for rx in scene.receivers:
+            rng = np.random.default_rng(2 * seed + rx.node_id)
+            paths = noisy_stock_paths(scene, rx.node_id, cfg.books, cfg.ofdm, rng,
+                                      angle_sd=np.radians(0.5))
+            assert pick_direct_path(paths, rx.orientation) == 0
+            los, _ = identify_los(unwrap_delays(paths, cfg.ofdm.delay_period),
+                                  cfg.ofdm.delay_resolution)
+            if los != 0:
+                misses.append((scene, rx.node_id, paths))
+    # beamspace gains leave the direct path outside the strongest quartile
+    # often enough that the quartile rule misses it on 18 of 100 receivers
+    assert len(misses) == 18
+    for scene, rx_id, paths in misses:
+        results, reason = process_receiver(paths, rx_id, scene, cfg.ofdm, cfg.scene.foi, ["wls"])
+        # the direct path is the LoS measurement, its delay kept in place
+        assert reason is None
+        assert results["wls"].los.delay == pytest.approx(paths[0].delay, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +384,25 @@ def test_process_receiver_labels_the_failing_stage():
 
 
 def test_process_receiver_matches_the_stage_calls():
+    # beamspace gains, on which the quartile rule picks path 7 here
     cfg = default_scenario()
     scene = random_scene(cfg.scene, 0)
     rx = scene.receiver(0)
     period = cfg.ofdm.delay_period
-    paths = [replace(p, delay=p.delay % period) for p in exact_paths(scene, 0)]
+    paths = noisy_stock_paths(scene, 0, cfg.books, cfg.ofdm, np.random.default_rng(0))
     results, reason = process_receiver(
         paths, 0, scene, cfg.ofdm, cfg.scene.foi, ["ls", "wls"]
     )
     assert reason is None and sorted(results) == ["ls", "wls"]
 
-    unwrapped = unwrap_delays(paths, period)
-    los, _ = identify_los(unwrapped, cfg.ofdm.delay_resolution)
-    kept = clutter_filter(unwrapped, cfg.scene.foi, los_index=los)
+    los = pick_direct_path(paths, rx.orientation)
+    assert los == 0 != identify_los(unwrap_delays(paths, period), cfg.ofdm.delay_resolution)[0]
+    lo = paths[los].delay - ANCHOR_SLACK_FRACTION * period
+    anchored = [replace(p, delay=lo + (p.delay - lo) % period) for p in paths]
+    kept = clutter_filter(anchored, cfg.scene.foi, los_index=los)
     for w, res in results.items():
         direct = localize_single(
-            [unwrapped[i] for i in kept], kept.index(los), ue_id=0,
+            [anchored[i] for i in kept], kept.index(los), ue_id=0,
             rx_orientation=rx.orientation, p_bs=scene.tx.position,
             speed_of_light=scene.speed_of_light, weighting=w,
         )
